@@ -150,38 +150,59 @@ def _update_manifest(out_dir: Path, command: str, files: list[str]) -> None:
     dump_json(ordered, path)
 
 
+def _is_number(x) -> bool:
+    return type(x) in (int, float)  # bools and strings are compared exactly
+
+
 def _values_match(a, b, rtol=1e-9, atol=1e-12) -> bool:
     if isinstance(a, dict) and isinstance(b, dict):
         return a.keys() == b.keys() and all(_values_match(a[k], b[k], rtol, atol) for k in a)
     if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return len(a) == len(b) and all(_values_match(x, y, rtol, atol) for x, y in zip(a, b))
+        if len(a) != len(b):
+            return False
+        if all(map(_is_number, a)) and all(map(_is_number, b)):
+            return bool(np.allclose(np.array(a, dtype=float), np.array(b, dtype=float), rtol=rtol, atol=atol))
+        return all(_values_match(x, y, rtol, atol) for x, y in zip(a, b))
     if isinstance(a, bool) or isinstance(b, bool):
         return a == b
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+    if _is_number(a) and _is_number(b):
         return bool(np.isclose(a, b, rtol=rtol, atol=atol))
     return a == b
 
 
-def _files_match(fresh: Path, existing: Path) -> bool:
-    if fresh.suffix == ".json":
-        return _values_match(load_json(fresh), load_json(existing))
-    new_lines = fresh.read_text(encoding="utf-8").splitlines()
-    old_lines = existing.read_text(encoding="utf-8").splitlines()
+def _parse_floats(lines: list[str]) -> np.ndarray:
+    """Every comma-separated field of ``lines``, in order, as one float array."""
+    return np.array(",".join(lines).split(","), dtype=float)
+
+
+def _csv_match(new_lines: list[str], old_lines: list[str], rtol=1e-9, atol=1e-12) -> bool:
+    """Headers and row counts must agree exactly. Rows that differ as text
+    must both be numeric with the same field count, and agree within
+    tolerance; a differing row that is not numeric fails the match."""
     if not new_lines or not old_lines or new_lines[0] != old_lines[0]:
         return False
     if len(new_lines) != len(old_lines):
         return False
-    for ln_new, ln_old in zip(new_lines[1:], old_lines[1:]):
-        try:
-            a = np.array([float(x) for x in ln_new.split(",")])
-            b = np.array([float(x) for x in ln_old.split(",")])
-        except ValueError:
-            if ln_new != ln_old:
-                return False
-            continue
-        if a.size != b.size or not np.allclose(a, b, rtol=1e-9, atol=1e-12):
-            return False
-    return True
+    pairs = [(a, b) for a, b in zip(new_lines[1:], old_lines[1:]) if a != b]
+    if not pairs:
+        return True
+    if any(a.count(",") != b.count(",") for a, b in pairs):
+        return False
+    try:
+        new = _parse_floats([a for a, _ in pairs])
+        old = _parse_floats([b for _, b in pairs])
+    except ValueError:
+        return False
+    return bool(np.allclose(new, old, rtol=rtol, atol=atol))
+
+
+def _files_match(fresh: Path, existing: Path) -> bool:
+    new_bytes, old_bytes = fresh.read_bytes(), existing.read_bytes()
+    if new_bytes == old_bytes:
+        return True
+    if fresh.suffix == ".json":
+        return _values_match(load_json(fresh), load_json(existing))
+    return _csv_match(new_bytes.decode("utf-8").splitlines(), old_bytes.decode("utf-8").splitlines())
 
 
 def _run_command(args, command: str, runner) -> int:
@@ -367,7 +388,7 @@ def cmd_plotdata(args) -> int:
         lines = trajectory_path.read_text(encoding="utf-8").splitlines()
         header = lines[0].split(",")
         keep = [0] + [c for c, name in enumerate(header) if name.startswith("e_")]
-        data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+        data = _parse_floats(lines[1:]).reshape(len(lines) - 1, len(header))
         _write_csv(out_dir / "edge_errors.csv", [header[c] for c in keep], data[:, keep])
 
         plane = controllable_plane(rbm_basis(fw), scenario.actuator)

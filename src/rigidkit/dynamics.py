@@ -94,17 +94,11 @@ class EdgeErrorSeries:
     linearized: np.ndarray | None
 
 
-def _edge_index_arrays(fw: Framework):
-    idx_i = np.array([i for i, _ in fw.edges], dtype=int)
-    idx_j = np.array([j for _, j in fw.edges], dtype=int)
-    return idx_i, idx_j
-
-
 def _edge_errors_of_states(fw: Framework, states: np.ndarray, r_star: np.ndarray) -> np.ndarray:
     """Exact squared-length errors for a (T, n*d) stack of configurations."""
     if fw.m == 0:
         return np.zeros((states.shape[0], 0))
-    idx_i, idx_j = _edge_index_arrays(fw)
+    idx_i, idx_j = fw.edge_ends.T
     pts = states.reshape(states.shape[0], fw.n, fw.d)
     diff = pts[:, idx_i, :] - pts[:, idx_j, :]
     return np.einsum("tkd,tkd->tk", diff, diff) - r_star
@@ -152,7 +146,7 @@ def _gradient_rhs(fw: Framework, r_star: np.ndarray):
     Algebraically identical to ``-R(p)^T (r(p) - r_star)``; the test suite
     checks the two forms against each other.
     """
-    idx_i, idx_j = _edge_index_arrays(fw)
+    idx_i, idx_j = fw.edge_ends.T
     n, d = fw.n, fw.d
 
     def rhs(p):
@@ -434,7 +428,7 @@ def shape_recovery_experiment(
     centered = fw.points - rbm.center
     rotation_angle = coeffs[2] / float(np.sqrt(np.einsum("kd,kd->", centered, centered)))
     if fw.m:
-        idx_i, idx_j = _edge_index_arrays(fw)
+        idx_i, idx_j = fw.edge_ends.T
         rotated = (fw.points[idx_i] - fw.points[idx_j]) @ rotation_2d().T
         predicted = r_star + rotation_angle**2 * np.einsum("kd,kd->k", rotated, rotated)
     else:

@@ -89,11 +89,20 @@ class Framework:
             raise ValidationError("positions: entries must be finite")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "edges", _canonical_edges(self.edges, self.n))
+        edges = _canonical_edges(self.edges, self.n)
+        object.__setattr__(self, "edges", edges)
+        ends = np.array(edges, dtype=np.intp).reshape(len(edges), 2)
+        ends.setflags(write=False)
+        object.__setattr__(self, "_edge_ends", ends)
         pts = self.points
-        for i, j in self.edges:
-            if np.array_equal(pts[i], pts[j]):
-                raise ValidationError(f"edges: zero-length edge ({i}, {j})")
+        zero = np.flatnonzero(np.all(pts[ends[:, 0]] == pts[ends[:, 1]], axis=1))
+        if zero.size:
+            i, j = edges[zero[0]]
+            raise ValidationError(f"edges: zero-length edge ({i}, {j})")
+        h = hashlib.sha256()
+        h.update(f"{self.n}:{self.d}:{edges}".encode())
+        h.update(pos.tobytes())
+        object.__setattr__(self, "_content_hash", h.hexdigest())
 
     @classmethod
     def from_points(cls, points, edges) -> "Framework":
@@ -124,11 +133,14 @@ class Framework:
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
 
+    @property
+    def edge_ends(self) -> np.ndarray:
+        """Read-only (m, 2) array of the canonical edges' endpoints."""
+        return self._edge_ends
+
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(f"{self.n}:{self.d}:{self.edges}".encode())
-        h.update(self.positions.tobytes())
-        return h.hexdigest()
+        """SHA-256 of n, d, the edges and the positions, computed once."""
+        return self._content_hash
 
 
 @dataclass(frozen=True)

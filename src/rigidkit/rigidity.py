@@ -74,11 +74,7 @@ def rigidity_function(fw: Framework, p) -> np.ndarray:
     """Squared length of every edge at configuration ``p``, canonical order."""
     vec = _check_state(fw, p)
     pts = vec.reshape(fw.n, fw.d)
-    if fw.m == 0:
-        return np.zeros(0)
-    idx_i = np.array([i for i, _ in fw.edges])
-    idx_j = np.array([j for _, j in fw.edges])
-    diff = pts[idx_i] - pts[idx_j]
+    diff = pts[fw.edge_ends[:, 0]] - pts[fw.edge_ends[:, 1]]
     return np.einsum("kd,kd->k", diff, diff)
 
 
@@ -86,13 +82,15 @@ def rigidity_matrix(fw: Framework, p=None) -> RigidityMatrix:
     """Jacobian of :func:`rigidity_function` at ``p`` (reference by default)."""
     vec = fw.positions if p is None else _check_state(fw, p)
     pts = vec.reshape(fw.n, fw.d)
-    d = fw.d
-    entries = np.zeros((fw.m, fw.n * d))
-    for k, (i, j) in enumerate(fw.edges):
-        row = 2.0 * (pts[i] - pts[j])
-        entries[k, i * d : (i + 1) * d] = row
-        entries[k, j * d : (j + 1) * d] = -row
-    return RigidityMatrix(entries=entries, edges=fw.edges, framework_hash=fw.content_hash())
+    i, j = fw.edge_ends[:, 0], fw.edge_ends[:, 1]
+    rows = 2.0 * (pts[i] - pts[j])
+    entries = np.zeros((fw.m, fw.n, fw.d))
+    k = np.arange(fw.m)
+    entries[k, i] = rows
+    entries[k, j] = -rows
+    return RigidityMatrix(
+        entries=entries.reshape(fw.m, fw.n * fw.d), edges=fw.edges, framework_hash=fw.content_hash()
+    )
 
 
 def rigidity_rank(rm: RigidityMatrix, rank_tol: float | None = None) -> int:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_TOL = 1e-8
 _ORTHO_CHECK = 1e-12
@@ -161,11 +160,27 @@ def _check_same_ambient(s1: Subspace, s2: Subspace) -> None:
 
 
 def principal_angles(s1: Subspace, s2: Subspace) -> np.ndarray:
-    """Principal angles between two subspaces, ascending, in radians."""
+    """Principal angles between two subspaces, ascending, in radians.
+
+    The cosine/sine split of Bjorck & Golub (1973) in the form of Knyazev &
+    Argentati (SIAM J. Sci. Comput. 23, 2002): the singular values of
+    ``Q1^T Q2`` are the cosines, and those of the residual of the smaller
+    basis against the larger one are the sines. An angle whose cosine
+    squared is at least 1/2 is taken from its sine, the others from their
+    cosine, so angles near 0 and near pi/2 both keep full precision.
+    """
     _check_same_ambient(s1, s2)
     if s1.dim == 0 or s2.dim == 0:
         raise ValueError("principal angles are undefined for a zero-dimensional subspace")
-    angles = scipy.linalg.subspace_angles(s1.basis, s2.basis)
+    q1, q2 = s1.basis, s2.basis
+    cross = q1.T @ q2
+    cosines = np.linalg.svd(cross, compute_uv=False)  # descending: angles ascending
+    small = cosines**2 >= 0.5
+    angles = np.arccos(np.clip(cosines, -1.0, 1.0))
+    if small.any():
+        resid = q2 - q1 @ cross if q1.shape[1] >= q2.shape[1] else q1 - q2 @ cross.T
+        sines = np.linalg.svd(resid, compute_uv=False)[::-1]  # ascending, like the angles
+        angles = np.where(small, np.arcsin(np.clip(sines, -1.0, 1.0)), angles)
     return np.sort(angles)
 
 

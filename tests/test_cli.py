@@ -1,5 +1,6 @@
 """Command-line runner: artifacts, exit codes, determinism, --check."""
 
+import json
 import subprocess
 import sys
 
@@ -269,3 +270,94 @@ def test_module_entry_point(tmp_path, triangle_file):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "run" / "report.json").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, rigidkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+SHORT_SIM = {"dichotomy": ["--dt", 0.02, "--t-end", 2]}
+
+
+def record_and_check(case_file, out, command, edit):
+    """Record ``command``'s artifacts, apply ``edit`` to them, then --check."""
+    extra = SHORT_SIM.get(command, [])
+    assert run([command, case_file, "--out", out, *extra]) == EXIT_OK
+    edit(out)
+    return run([command, case_file, "--out", out, "--check", *extra])
+
+
+def edit_csv(name, row, col, edit):
+    def apply(out):
+        path = out / name
+        lines = path.read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[col] = edit(cells[col])
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    return apply
+
+
+def scale_cell(factor):
+    return lambda cell: format(float(cell) * factor, ".17g")
+
+
+def edit_json(name, *keys, value=None, factor=None):
+    """Set, or scale by ``factor``, the value at ``keys`` inside a JSON artifact."""
+    def apply(out):
+        data = load_json(out / name)
+        parent = data
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = parent[keys[-1]] * factor if factor is not None else value
+        (out / name).write_text(json.dumps(data))
+    return apply
+
+
+def drop_last_row(name):
+    def apply(out):
+        lines = (out / name).read_text().splitlines()
+        (out / name).write_text("\n".join(lines[:-1]) + "\n")
+    return apply
+
+
+WITHIN = 1 + 5e-10  # inside the 1e-9 relative tolerance
+BEYOND = 1 + 1e-7
+
+
+@pytest.mark.parametrize(
+    "command, edit",
+    [
+        ("analyze", edit_csv("rigidity_matrix.csv", 1, 2, scale_cell(WITHIN))),
+        ("analyze", edit_json("subspaces.json", "flex", 0, 0, factor=WITHIN)),
+        ("modes", edit_json("modes.json", "checks", "uncontrollable_split", "component_principal_angles", 0, factor=WITHIN)),
+        ("dichotomy", edit_csv("trajectory.csv", 3, 1, scale_cell(WITHIN))),
+    ],
+    ids=["csv-cell", "json-nested", "json-deep-angle", "csv-trajectory-cell"],
+)
+def test_check_accepts_perturbation_within_tolerance(tmp_path, case_file, command, edit):
+    assert record_and_check(case_file, tmp_path / "run", command, edit) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "command, name, edit",
+    [
+        ("analyze", "rigidity_matrix.csv", edit_csv("rigidity_matrix.csv", 1, 2, scale_cell(BEYOND))),
+        ("analyze", "rigidity_matrix.csv", edit_csv("rigidity_matrix.csv", 0, 0, lambda cell: "p_1X")),
+        ("analyze", "report.json", edit_json("report.json", "dims", "flex", value=4)),
+        ("analyze", "subspaces.json", edit_json("subspaces.json", "flex", 0, 0, factor=BEYOND)),
+        ("modes", "modes.json", edit_json("modes.json", "actuator_equals_sensor", value=True)),
+        ("modes", "modes.json", edit_json("modes.json", "checks", "rotation_inclusion", "holds", value=False)),
+        ("modes", "modes.json", edit_json("modes.json", "checks", "uncontrollable_split", "component_principal_angles", 0, factor=BEYOND)),
+        ("dichotomy", "trajectory.csv", edit_csv("trajectory.csv", 3, 1, scale_cell(BEYOND))),
+        ("dichotomy", "trajectory.csv", drop_last_row("trajectory.csv")),
+    ],
+    ids=["csv-cell", "csv-header", "json-int", "json-nested", "json-bool", "json-nested-bool",
+         "json-deep-angle", "csv-trajectory-cell", "csv-row-dropped"],
+)
+def test_check_rejects_changes_beyond_tolerance(tmp_path, case_file, capsys, command, name, edit):
+    assert record_and_check(case_file, tmp_path / "run", command, edit) == EXIT_NUMERICAL
+    assert f"{name} differs" in capsys.readouterr().err

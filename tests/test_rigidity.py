@@ -54,6 +54,26 @@ def test_rigidity_function_length_mismatch():
         rk.rigidity_function(triangle(), np.zeros(5))
 
 
+def loop_rigidity_matrix(fw, p):
+    """Reference: the rigidity matrix assembled edge by edge."""
+    pts = np.asarray(p, float).reshape(fw.n, fw.d)
+    d = fw.d
+    out = np.zeros((fw.m, fw.n * d))
+    for k, (i, j) in enumerate(fw.edges):
+        row = 2.0 * (pts[i] - pts[j])
+        out[k, i * d : (i + 1) * d] = row
+        out[k, j * d : (j + 1) * d] = -row
+    return out
+
+
+def test_rigidity_matrix_equals_edge_loop(assorted_frameworks):
+    rng = np.random.default_rng(29)
+    for fw in assorted_frameworks:
+        assert np.array_equal(rk.rigidity_matrix(fw).entries, loop_rigidity_matrix(fw, fw.positions))
+        p = fw.positions + rng.normal(size=fw.positions.size)
+        assert np.array_equal(rk.rigidity_matrix(fw, p).entries, loop_rigidity_matrix(fw, p))
+
+
 def test_rigidity_matrix_row_structure():
     fw = triangle()
     rm = rk.rigidity_matrix(fw)

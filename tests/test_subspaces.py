@@ -107,6 +107,53 @@ def test_principal_angles_ascending():
     assert np.all(np.diff(angles) >= 0)
 
 
+def pair_with_angles(rng, ambient, dim1, angles):
+    """Two subspaces whose principal angles are exactly ``angles``: the first
+    spans ``dim1`` columns of a random rotation, the second tilts one of
+    them towards a column outside the first by each angle."""
+    q, _ = np.linalg.qr(rng.normal(size=(ambient, ambient)))
+    k = len(angles)
+    tilted = np.cos(angles) * q[:, :k] + np.sin(angles) * q[:, dim1 : dim1 + k]
+    return Subspace(basis=q[:, :dim1]), Subspace(basis=tilted)
+
+
+def draw_pair(rng, low, high):
+    dim2 = int(rng.integers(1, 5))
+    dim1 = dim2 + int(rng.integers(1, 4))
+    angles = np.sort(np.exp(rng.uniform(np.log(low), np.log(high), dim2)))
+    return pair_with_angles(rng, dim1 + dim2 + int(rng.integers(0, 3)), dim1, angles), angles
+
+
+def test_principal_angles_match_scipy_oracle():
+    """scipy's subspace_angles is exact when every angle of a pair lies on
+    the same side of pi/4, so pairs are drawn from [1e-12, 0.7] or from
+    [0.9, pi/2]; together they cover the whole range."""
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(2002)
+    for _ in range(100):
+        for low, high in ((1e-12, 0.7), (0.9, np.pi / 2)):
+            (a, b), angles = draw_pair(rng, low, high)
+            oracle = np.sort(scipy_linalg.subspace_angles(a.basis, b.basis))
+            assert np.abs(rk.principal_angles(a, b) - oracle).max() <= 1e-12
+            assert np.abs(rk.principal_angles(b, a) - oracle).max() <= 1e-12
+            assert np.abs(oracle - angles).max() <= 1e-12
+
+
+def test_principal_angles_resolve_small_next_to_large():
+    """A tiny angle next to one beyond pi/4 keeps full precision: each angle
+    is taken from its own sine or cosine."""
+    rng = np.random.default_rng(1973)
+    for _ in range(100):
+        count = int(rng.integers(1, 4))
+        small = np.exp(rng.uniform(np.log(1e-12), np.log(1e-3), count))
+        large = np.pi / 2 - np.exp(rng.uniform(np.log(1e-12), np.log(0.6), count))
+        angles = np.sort(np.concatenate([small, large]))
+        dim1 = angles.size + int(rng.integers(1, 3))
+        a, b = pair_with_angles(rng, dim1 + angles.size, dim1, angles)
+        assert np.abs(rk.principal_angles(a, b) - angles).max() <= 1e-12
+        assert np.abs(rk.principal_angles(b, a) - angles).max() <= 1e-12
+
+
 def test_contains_examples():
     assert rk.contains(span(E1, E2), span(E1))
     assert not rk.contains(span(E1, E2), span(E3))
