@@ -43,7 +43,7 @@ for name, f in frameworks.items():
         f"  {rk.flex_space(r).dim:4d}"
         f"  {rk.self_stress_space(r).dim:6d}"
         f"  {rk.deformation_space(r).dim:6d}"
-        f"  {rk.classify_rigidity(f)}"
+        f"  {rk.classify_rigidity(r)}"
     )
 
 # A rigid framework keeps exactly the three planar rigid-body motions as

@@ -9,11 +9,7 @@ formation.
 """
 
 from .dynamics import (
-    ControllablePlane,
-    EdgeErrorSeries,
-    ImpulseOutcome,
     NumericalError,
-    Trajectory,
     controllable_plane,
     edge_error_series,
     rbm_coefficients,
@@ -38,9 +34,7 @@ from .framework import (
     scenario_to_dict,
 )
 from .modes import (
-    EigenspaceModes,
     LinearizedSystem,
-    ModeReport,
     classify_modes,
     eigenspaces,
     elementary_rotations,
@@ -60,20 +54,16 @@ from .rigidity import (
     INFINITESIMALLY_RIGID,
     MINIMALLY_RIGID,
     RIGID_WITH_REDUNDANCY,
-    RbmBasis,
     RigidityMatrix,
     classify_rigidity,
     deformation_space,
     flex_space,
-    is_infinitesimally_rigid,
     rbm_basis,
-    rigid_motion_dim,
     rigidity_function,
     rigidity_matrix,
     rigidity_rank,
     rotation_2d,
     self_stress_space,
-    skew_generators,
 )
 from .subspaces import (
     DEFAULT_TOL,
@@ -85,7 +75,6 @@ from .subspaces import (
     orthonormalize,
     principal_angles,
     project,
-    row_space,
 )
 
 __version__ = "0.1.0"

@@ -238,7 +238,7 @@ def cmd_analyze(args) -> int:
     def runner(out_dir: Path) -> list[str]:
         rm = rigidity_matrix(fw)
         rank = rigidity_rank(rm, tols["rank"])
-        classification = classify_rigidity(fw, tols["rank"])
+        classification = classify_rigidity(rm, tols["rank"])
         flex = flex_space(rm, tols["rank"], tols["subspace"])
         stress = self_stress_space(rm, tols["rank"], tols["subspace"])
         deform = deformation_space(rm, tols["rank"], tols["subspace"])

@@ -30,7 +30,6 @@ from .rigidity import (
     flex_space,
     rbm_basis,
     rigidity_function,
-    rigidity_matrix,
     rotation_2d,
 )
 from .subspaces import DEFAULT_TOL, project
@@ -196,8 +195,7 @@ def simulate_lti(sys: LinearizedSystem, dp0, settings: SimSettings = SimSettings
         raise ValidationError(f"state length: expected {sys.dim}, got {start.size}")
     a = sys.A
     times, states = _integrate(lambda y: a @ y, start, settings)
-    r = rigidity_matrix(sys.framework).entries
-    errors = states @ r.T
+    errors = states @ sys.rigidity.entries.T
     potential = 0.5 * np.einsum("tk,tk->t", errors, errors)
     return Trajectory(
         kind="lti",
@@ -228,7 +226,7 @@ def steady_state(
     w = np.asarray(w0, dtype=float).ravel()
     if w.size != sys.framework.d:
         raise ValidationError(f"w0: expected {sys.framework.d} entries, got {w.size}")
-    flex = flex_space(rigidity_matrix(sys.framework), rank_tol)
+    flex = flex_space(sys.rigidity, rank_tol)
     return project(flex, sys.B @ w * magnitude)
 
 
@@ -398,7 +396,8 @@ def shape_recovery_experiment(
     sub_tol = tol if tol is not None else (scenario.tol.subspace or DEFAULT_TOL)
     r_tol = rank_tol if rank_tol is not None else scenario.tol.rank
 
-    classification = classify_rigidity(fw, r_tol)
+    sys = linearize(fw, scenario.actuator, scenario.sensor)
+    classification = classify_rigidity(sys.rigidity, r_tol)
     if classification == FLEXIBLE:
         warnings.warn(
             "framework is flexible: the recovery/distortion verdict is withheld",
@@ -409,7 +408,6 @@ def shape_recovery_experiment(
     r_i = block(rbm.v_r, scenario.actuator, 2)
     alignment = float(r_i @ scenario.w0)
 
-    sys = linearize(fw, scenario.actuator, scenario.sensor)
     dp0 = sys.B @ scenario.w0 * scenario.impulse
     traj = simulate_lti(sys, dp0, scenario.sim)
     tail = traj.tail_state()
@@ -417,7 +415,7 @@ def shape_recovery_experiment(
     r_star = rigidity_function(fw, fw.positions)
     simulated_sq = _edge_errors_of_states(fw, (fw.positions + tail)[None, :], r_star)[0] + r_star
     simulated_err = simulated_sq - r_star
-    linearized_err = rigidity_matrix(fw).entries @ tail
+    linearized_err = sys.rigidity.entries @ tail
 
     # the jump is supported on the actuated block, so its coefficients are
     # inner products of the basis blocks there with w0 * impulse

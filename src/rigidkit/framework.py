@@ -203,10 +203,48 @@ class Scenario:
             raise ValidationError(f"impulse: must be positive, got {self.impulse}")
 
 
-def _require(data: dict, key: str):
-    if key not in data:
-        raise ScenarioParseError(f"missing key {key!r} in scenario file")
-    return data[key]
+def _is_int(v) -> bool:
+    return type(v) is int  # JSON true and false load as bool, which is rejected
+
+
+def _is_number(v) -> bool:
+    return type(v) in (int, float)
+
+
+def _list_of(test):
+    return lambda v: type(v) is list and all(map(test, v))
+
+
+def _or_null(test):
+    return lambda v: v is None or test(v)
+
+
+_REQUIRED = ("n", "d", "edges", "positions", "actuator", "sensor", "w0")
+# field -> (test of the loaded JSON value, what it must be); "sim." and "tol." name nested fields
+_FIELDS = {
+    "n": (_is_int, "an integer"),
+    "d": (_is_int, "an integer"),
+    "edges": (_list_of(lambda e: _list_of(_is_int)(e) and len(e) == 2), "a list of [i, j] integer pairs"),
+    "positions": (_list_of(_list_of(_is_number)), "a list of coordinate lists"),
+    "actuator": (_is_int, "an integer"),
+    "sensor": (_is_int, "an integer"),
+    "w0": (_list_of(_is_number), "a list of numbers"),
+    "impulse": (_is_number, "a number"),
+    "sim": (_or_null(lambda v: type(v) is dict), "an object"),
+    "tol": (_or_null(lambda v: type(v) is dict), "an object"),
+    "sim.dt": (_is_number, "a number"),
+    "sim.t_end": (_is_number, "a number"),
+    "tol.rank": (_or_null(_is_number), "a number or null"),
+    "tol.subspace": (_or_null(_is_number), "a number or null"),
+}
+
+
+def _check_fields(data: dict, prefix: str = "") -> None:
+    """Reject a field of the wrong JSON type, naming it."""
+    for key, value in data.items():
+        test, expected = _FIELDS.get(prefix + key, (None, None))
+        if test is not None and not test(value):
+            raise ScenarioParseError(f"{prefix}{key}: expected {expected}")
 
 
 def load_scenario(path) -> Scenario:
@@ -219,48 +257,42 @@ def load_scenario(path) -> Scenario:
         raise ScenarioParseError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioParseError("scenario file must hold a JSON object")
+    for key in _REQUIRED:
+        if key not in data:
+            raise ScenarioParseError(f"missing key {key!r} in scenario file")
+    _check_fields(data)
+    sim_data = data.get("sim") or {}
+    tol_data = data.get("tol") or {}
+    _check_fields(sim_data, "sim.")
+    _check_fields(tol_data, "tol.")
 
-    try:
-        n = int(_require(data, "n"))
-        d = int(_require(data, "d"))
-        raw_edges = _require(data, "edges")
-        raw_positions = _require(data, "positions")
-        actuator = int(_require(data, "actuator"))
-        sensor = int(_require(data, "sensor"))
-        w0 = _require(data, "w0")
-    except (TypeError, ValueError) as exc:
-        raise ScenarioParseError(f"bad scalar field in scenario file: {exc}") from exc
-
+    n, d = data["n"], data["d"]
     edges = []
-    for e in raw_edges:
-        pair = [int(x) for x in e]
-        if len(pair) != 2:
-            raise ScenarioParseError(f"edges: expected [i, j] pairs, got {e!r}")
+    for pair in data["edges"]:
         for x in pair:
             if not (1 <= x <= n):
                 raise ValidationError(f"edges: node index {x} out of range [1, {n}]")
         edges.append((pair[0] - 1, pair[1] - 1))
 
     try:
-        positions = np.asarray(raw_positions, dtype=float)
-    except (TypeError, ValueError) as exc:
+        positions = np.asarray(data["positions"], dtype=float)
+    except ValueError as exc:
         raise ValidationError(f"positions length: expected {n} rows of {d} floats ({exc})") from exc
     if positions.ndim != 2 or positions.shape != (n, d):
         raise ValidationError(
             f"positions length: expected {n} rows of {d} floats, "
             f"got shape {positions.shape}"
         )
+    actuator, sensor = data["actuator"], data["sensor"]
     for node, name in ((actuator, "actuator"), (sensor, "sensor")):
         if not (1 <= node <= n):
             raise ValidationError(f"{name}: node index {node} out of range [1, {n}]")
 
-    sim_data = data.get("sim", {}) or {}
     sim = SimSettings(
         dt=float(sim_data.get("dt", SimSettings.dt)),
         t_end=float(sim_data.get("t_end", SimSettings.t_end)),
-        method=str(sim_data.get("method", SimSettings.method)),
+        method=sim_data.get("method", SimSettings.method),
     )
-    tol_data = data.get("tol", {}) or {}
     tol = ToleranceOverrides(
         rank=None if tol_data.get("rank") is None else float(tol_data["rank"]),
         subspace=None if tol_data.get("subspace") is None else float(tol_data["subspace"]),
@@ -271,7 +303,7 @@ def load_scenario(path) -> Scenario:
         framework=framework,
         actuator=actuator - 1,
         sensor=sensor - 1,
-        w0=np.asarray(w0, dtype=float),
+        w0=np.asarray(data["w0"], dtype=float),
         impulse=float(data.get("impulse", 1.0)),
         sim=sim,
         tol=tol,

@@ -17,13 +17,15 @@ angles, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .framework import Framework, ValidationError
 from .rigidity import (
     FLEXIBLE,
+    RigidityMatrix,
     classify_rigidity,
     deformation_space,
     flex_space,
@@ -66,18 +68,46 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinearizedSystem:
-    """LTI model of the gradient dynamics around the reference configuration."""
+    """LTI model of the gradient dynamics around the reference configuration.
 
-    framework: Framework
+    Owns the one eigendecomposition of ``A`` and the pinned coefficients
+    that every hidden-mode report reads.
+    """
+
+    rigidity: RigidityMatrix
     actuator: int
     sensor: int
     A: np.ndarray  # (nd, nd), symmetric negative semidefinite
     B: np.ndarray  # (nd, d)
     C: np.ndarray  # (d, nd)
+    _pinned: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def framework(self) -> Framework:
+        return self.rigidity.framework
 
     @property
     def dim(self) -> int:
         return self.A.shape[0]
+
+    @cached_property
+    def eigen_groups(self) -> tuple[tuple[float, np.ndarray], ...]:
+        """Eigenvalue groups of ``A`` (see :func:`eigenspaces`), computed once."""
+        return tuple(eigenspaces(self.A, flex_space(self.rigidity).basis))
+
+    def pinned_coeffs(self, nodes: tuple[int, ...], tol: float) -> tuple[np.ndarray, ...]:
+        """Per eigenvalue group, the coefficients c whose combination
+        ``basis @ c`` vanishes at every node in ``nodes``; computed once per
+        (nodes, tol)."""
+        key = (nodes, tol)
+        if key not in self._pinned:
+            d = self.framework.d
+            rows = np.concatenate([np.arange(k * d, (k + 1) * d) for k in nodes])
+            coeffs = tuple(_pinned_coeffs(basis, rows, tol) for _, basis in self.eigen_groups)
+            for c in coeffs:
+                c.setflags(write=False)
+            self._pinned[key] = coeffs
+        return self._pinned[key]
 
 
 def linearize(fw: Framework, actuator: int, sensor: int) -> LinearizedSystem:
@@ -85,34 +115,42 @@ def linearize(fw: Framework, actuator: int, sensor: int) -> LinearizedSystem:
     for node, name in ((actuator, "actuator"), (sensor, "sensor")):
         if not (0 <= node < fw.n):
             raise ValidationError(f"{name}: node index {node} out of range for n={fw.n}")
-    r = rigidity_matrix(fw).entries
-    gram = r.T @ r
+    rm = rigidity_matrix(fw)
+    gram = rm.entries.T @ rm.entries
     a = -0.5 * (gram + gram.T)  # symmetrize so A == A.T holds exactly
     d = fw.d
     b = np.zeros((fw.n * d, d))
     b[actuator * d : (actuator + 1) * d, :] = np.eye(d)
     c = np.zeros((d, fw.n * d))
     c[:, sensor * d : (sensor + 1) * d] = np.eye(d)
-    return LinearizedSystem(framework=fw, actuator=actuator, sensor=sensor, A=a, B=b, C=c)
+    return LinearizedSystem(rigidity=rm, actuator=actuator, sensor=sensor, A=a, B=b, C=c)
 
 
-def eigenspaces(A: np.ndarray, group_rtol: float = EIG_GROUP_RTOL) -> list[tuple[float, np.ndarray]]:
-    """Eigenvalue groups of a symmetric matrix, ascending.
+def eigenspaces(A: np.ndarray, flex: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """Eigenvalue groups of the stiffness matrix ``A = -R^T R``, ascending.
 
-    Consecutive eigenvalues closer than ``group_rtol * max|lambda|`` share
-    one eigenspace; repeated eigenvalues are common here (symmetric
-    configurations) and the pinning analysis must act on whole eigenspaces.
+    The last group is the zero eigenspace ker R, spanned by the orthonormal
+    ``flex`` from the SVD of R: ``eigh`` resolves eigenvectors only to about
+    ``eps * max|lambda|`` over their eigenvalue gap, too coarsely to keep
+    the slowest deformations of an ill-conditioned framework apart from the
+    rigid-body motions. The other eigenvectors are projected off ``flex``,
+    and consecutive eigenvalues among them closer than
+    ``EIG_GROUP_RTOL * max|lambda|`` share one eigenspace, since the pinning
+    analysis must act on whole eigenspaces.
     """
     lam, vec = np.linalg.eigh(A)
-    if lam.size == 0:
-        return []
-    gap = group_rtol * float(np.abs(lam).max())
+    nonzero = lam.size - flex.shape[1]
+    vec = vec[:, :nonzero]
+    vec = vec - flex @ (flex.T @ vec)
+    vec.setflags(write=False)
+    gap = EIG_GROUP_RTOL * float(np.abs(lam).max())
     groups = []
     start = 0
-    for k in range(1, lam.size + 1):
-        if k == lam.size or lam[k] - lam[k - 1] > gap:
+    for k in range(1, nonzero + 1):
+        if k == nonzero or lam[k] - lam[k - 1] > gap:
             groups.append((float(lam[start:k].mean()), vec[:, start:k]))
             start = k
+    groups.append((float(lam[nonzero:].mean()), flex))
     return groups
 
 
@@ -122,12 +160,9 @@ def _block_rows(node: int, d: int) -> slice:
 
 def _pinned_coeffs(basis: np.ndarray, rows: np.ndarray, tol: float) -> np.ndarray:
     """Coefficient vectors c with ``basis @ c`` vanishing on the given rows."""
-    r = basis.shape[1]
-    if r == 0:
-        return np.zeros((0, 0))
-    m = basis[rows, :]
-    _, s, vt = np.linalg.svd(m, full_matrices=True)
-    mask = np.array([k >= s.size or s[k] <= tol for k in range(r)])
+    _, s, vt = np.linalg.svd(basis[rows, :], full_matrices=True)
+    # directions beyond the row count have no singular value: pinned as well
+    mask = np.concatenate([s <= tol, np.ones(basis.shape[1] - s.size, dtype=bool)])
     return vt[mask].T
 
 
@@ -140,35 +175,25 @@ def _complement_coeffs(sub: np.ndarray, r: int) -> np.ndarray:
     return u[:, rank:]
 
 
-def _pinned_modes(sys: LinearizedSystem, node: int, tol: float, group_rtol: float) -> Subspace:
-    d = sys.framework.d
-    rows = np.arange(node * d, (node + 1) * d)
-    pieces = []
-    for _, basis in eigenspaces(sys.A, group_rtol):
-        coeffs = _pinned_coeffs(basis, rows, tol)
-        if coeffs.shape[1]:
-            pieces.append(basis @ coeffs)
-    if not pieces:
-        return Subspace.zero(sys.dim, tol)
-    return orthonormalize(np.hstack(pieces), tol=tol)
+def _pinned_pieces(sys: LinearizedSystem, node: int, tol: float) -> list[np.ndarray]:
+    """Per eigenvalue group, the part of the eigenspace whose block at
+    ``node`` vanishes; the pieces are mutually orthogonal."""
+    coeffs = sys.pinned_coeffs((node,), tol)
+    return [basis @ c for (_, basis), c in zip(sys.eigen_groups, coeffs)]
 
 
-def uncontrollable_subspace(
-    sys: LinearizedSystem, tol: float = DEFAULT_TOL, group_rtol: float = EIG_GROUP_RTOL
-) -> Subspace:
+def uncontrollable_subspace(sys: LinearizedSystem, tol: float = DEFAULT_TOL) -> Subspace:
     """Modes that no input at the actuated node can reach.
 
     Per eigenvalue group, keeps the part of the eigenspace whose block at
     the actuator vanishes, then sums the (mutually orthogonal) pieces.
     """
-    return _pinned_modes(sys, sys.actuator, tol, group_rtol)
+    return orthonormalize(np.hstack(_pinned_pieces(sys, sys.actuator, tol)), tol=tol)
 
 
-def unobservable_subspace(
-    sys: LinearizedSystem, tol: float = DEFAULT_TOL, group_rtol: float = EIG_GROUP_RTOL
-) -> Subspace:
+def unobservable_subspace(sys: LinearizedSystem, tol: float = DEFAULT_TOL) -> Subspace:
     """Modes invisible at the measured node; dual of the uncontrollable case."""
-    return _pinned_modes(sys, sys.sensor, tol, group_rtol)
+    return orthonormalize(np.hstack(_pinned_pieces(sys, sys.sensor, tol)), tol=tol)
 
 
 def global_rotation_subspace(fw: Framework, node: int, tol: float = DEFAULT_TOL) -> Subspace:
@@ -268,10 +293,7 @@ def _pinned_ambient_subspace(n: int, d: int, node: int, tol: float) -> Subspace:
 
 
 def rbm_deformation_split_report(
-    sys: LinearizedSystem,
-    rank_tol: float | None = None,
-    tol: float = DEFAULT_TOL,
-    group_rtol: float = EIG_GROUP_RTOL,
+    sys: LinearizedSystem, rank_tol: float | None = None, tol: float = DEFAULT_TOL
 ) -> dict:
     """Split the uncontrollable subspace into its rigid-body and deforming
     parts, eigenspace by eigenspace.
@@ -284,27 +306,14 @@ def rbm_deformation_split_report(
     it can be strictly larger because it may mix eigenspaces.
     """
     fw = sys.framework
-    d = fw.d
-    rows = np.arange(sys.actuator * d, (sys.actuator + 1) * d)
-    groups = eigenspaces(sys.A, group_rtol)
-    pieces = []
-    for _, basis in groups:
-        coeffs = _pinned_coeffs(basis, rows, tol)
-        pieces.append(basis @ coeffs)
+    pieces = _pinned_pieces(sys, sys.actuator, tol)
     # the zero eigenspace of the negative semidefinite A is the last group
-    rbm_cols = pieces[-1]
-    def_cols = [p for p in pieces[:-1] if p.shape[1]]
-    rbm_part = orthonormalize(rbm_cols, tol=tol, ambient_dim=sys.dim)
-    def_part = (
-        orthonormalize(np.hstack(def_cols), tol=tol)
-        if def_cols
-        else Subspace.zero(sys.dim, tol)
-    )
-    total = uncontrollable_subspace(sys, tol, group_rtol)
+    rbm_part = orthonormalize(pieces[-1], tol=tol, ambient_dim=sys.dim)
+    def_part = orthonormalize([v for p in pieces[:-1] for v in p.T], tol=tol, ambient_dim=sys.dim)
+    total = uncontrollable_subspace(sys, tol)
 
-    rm = rigidity_matrix(fw)
-    pinned_ambient = _pinned_ambient_subspace(fw.n, d, sys.actuator, tol)
-    raw = intersect(deformation_space(rm, rank_tol, tol), pinned_ambient)
+    pinned_ambient = _pinned_ambient_subspace(fw.n, fw.d, sys.actuator, tol)
+    raw = intersect(deformation_space(sys.rigidity, rank_tol, tol), pinned_ambient)
 
     return {
         "uncontrollable_dim": total.dim,
@@ -316,18 +325,14 @@ def rbm_deformation_split_report(
     }
 
 
-def local_rotation_report(
-    sys: LinearizedSystem,
-    tol: float = DEFAULT_TOL,
-    group_rtol: float = EIG_GROUP_RTOL,
-) -> dict:
+def local_rotation_report(sys: LinearizedSystem, tol: float = DEFAULT_TOL) -> dict:
     """Compare the uncontrollable subspace with the local rotation subspace.
 
     Both containment directions are reported with principal angles; no
     equality is asserted, because for generic sparse frameworks the two
     need not coincide.
     """
-    u = uncontrollable_subspace(sys, tol, group_rtol)
+    u = uncontrollable_subspace(sys, tol)
     t = local_rotation_subspace(sys.framework, sys.actuator, tol)
     local_contains = contains(t, u)
     reverse = contains(u, t)
@@ -342,13 +347,10 @@ def local_rotation_report(
 
 
 def specialization_report(
-    fw: Framework,
-    node: int,
-    rank_tol: float | None = None,
-    tol: float = DEFAULT_TOL,
-    group_rtol: float = EIG_GROUP_RTOL,
+    sys: LinearizedSystem, rank_tol: float | None = None, tol: float = DEFAULT_TOL
 ) -> dict:
-    """Specialized decompositions for rigid frameworks and complete graphs.
+    """Specialized decompositions for rigid frameworks and complete graphs,
+    about the actuated node.
 
     For a rigid framework: checks whether the uncontrollable subspace
     splits as the rotation about the node plus the deforming part of the
@@ -356,16 +358,15 @@ def specialization_report(
     the local and global rotation subspaces. Verdicts are recorded, not
     asserted.
     """
-    classification = classify_rigidity(fw, rank_tol)
+    fw, node = sys.framework, sys.actuator
+    classification = classify_rigidity(sys.rigidity, rank_tol)
     r_g = global_rotation_subspace(fw, node, tol)
     t = local_rotation_subspace(fw, node, tol)
 
     rigid: dict = {"applicable": classification != FLEXIBLE, "classification": classification}
     if rigid["applicable"]:
-        sys = linearize(fw, node, node)
-        u = uncontrollable_subspace(sys, tol, group_rtol)
-        rm = rigidity_matrix(fw)
-        t_def = intersect(t, deformation_space(rm, rank_tol, tol))
+        u = uncontrollable_subspace(sys, tol)
+        t_def = intersect(t, deformation_space(sys.rigidity, rank_tol, tol))
         overlap = 0.0
         if r_g.dim and t_def.dim:
             overlap = float(np.linalg.svd(r_g.basis.T @ t_def.basis, compute_uv=False).max())
@@ -468,20 +469,17 @@ class ModeReport:
         }
 
 
-def classify_modes(
-    sys: LinearizedSystem, tol: float = DEFAULT_TOL, group_rtol: float = EIG_GROUP_RTOL
-) -> ModeReport:
+def classify_modes(sys: LinearizedSystem, tol: float = DEFAULT_TOL) -> ModeReport:
     """Split every eigenspace into the four controllability/observability
     categories by pinning at the actuator and sensor nodes."""
-    d = sys.framework.d
-    rows_i = np.arange(sys.actuator * d, (sys.actuator + 1) * d)
-    rows_j = np.arange(sys.sensor * d, (sys.sensor + 1) * d)
     groups = []
-    for lam, basis in eigenspaces(sys.A, group_rtol):
+    for (lam, basis), nc, no, nh in zip(
+        sys.eigen_groups,
+        sys.pinned_coeffs((sys.actuator,), tol),
+        sys.pinned_coeffs((sys.sensor,), tol),
+        sys.pinned_coeffs((sys.actuator, sys.sensor), tol),
+    ):
         r = basis.shape[1]
-        nc = _pinned_coeffs(basis, rows_i, tol)
-        no = _pinned_coeffs(basis, rows_j, tol)
-        nh = _pinned_coeffs(basis, np.concatenate([rows_i, rows_j]), tol)
 
         def _sub(coeffs: np.ndarray) -> Subspace:
             if coeffs.shape[1] == 0:
@@ -510,21 +508,17 @@ def classify_modes(
 
 
 def hidden_mode_checks(
-    sys: LinearizedSystem,
-    rank_tol: float | None = None,
-    tol: float = DEFAULT_TOL,
-    group_rtol: float = EIG_GROUP_RTOL,
+    sys: LinearizedSystem, rank_tol: float | None = None, tol: float = DEFAULT_TOL
 ) -> dict:
     """Run every subspace-relation check for one system and collect the
     verdicts into a JSON-ready report."""
     fw = sys.framework
-    rm = rigidity_matrix(fw)
-    flex = flex_space(rm, rank_tol, tol)
-    u = uncontrollable_subspace(sys, tol, group_rtol)
+    flex = flex_space(sys.rigidity, rank_tol, tol)
+    u = uncontrollable_subspace(sys, tol)
     r_g = global_rotation_subspace(fw, sys.actuator, tol)
     t = local_rotation_subspace(fw, sys.actuator, tol)
     u_rbm = intersect(u, flex)
-    classification = classify_rigidity(fw, rank_tol)
+    classification = classify_rigidity(sys.rigidity, rank_tol)
     rigid = classification != FLEXIBLE
 
     bound = rigid_motion_dim(fw.d) - fw.d  # d(d+1)/2 - d = d(d-1)/2
@@ -552,7 +546,7 @@ def hidden_mode_checks(
             "local_rotation_dim": t.dim,
             "holds": contains(t, r_g),
         },
-        "uncontrollable_split": rbm_deformation_split_report(sys, rank_tol, tol, group_rtol),
-        "uncontrollable_vs_local_rotation": local_rotation_report(sys, tol, group_rtol),
-        "specializations": specialization_report(fw, sys.actuator, rank_tol, tol, group_rtol),
+        "uncontrollable_split": rbm_deformation_split_report(sys, rank_tol, tol),
+        "uncontrollable_vs_local_rotation": local_rotation_report(sys, tol),
+        "specializations": specialization_report(sys, rank_tol, tol),
     }

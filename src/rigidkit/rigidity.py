@@ -10,11 +10,12 @@ the gradient dynamics without rescaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .framework import Framework, ValidationError
-from .subspaces import DEFAULT_TOL, Subspace, nullspace, orthonormalize, row_space
+from .subspaces import DEFAULT_TOL, Subspace, _default_rank_tol, nullspace, orthonormalize
 
 FLEXIBLE = "flexible"
 INFINITESIMALLY_RIGID = "infinitesimally_rigid"
@@ -39,17 +40,19 @@ __all__ = [
     "deformation_space",
     "rigid_motion_dim",
     "classify_rigidity",
-    "is_infinitesimally_rigid",
 ]
 
 
 @dataclass(frozen=True)
 class RigidityMatrix:
-    """Jacobian of the rigidity function at a configuration."""
+    """Jacobian of the rigidity function at a configuration.
+
+    Owns the one SVD of its entries that the rank, the flex space, the
+    deformation space and the classification all read.
+    """
 
     entries: np.ndarray  # (m, n*d)
-    edges: tuple[tuple[int, int], ...]
-    framework_hash: str
+    framework: Framework
 
     def __post_init__(self):
         e = np.array(self.entries, dtype=float)
@@ -59,6 +62,14 @@ class RigidityMatrix:
     @property
     def shape(self):
         return self.entries.shape
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Full SVD ``(U, s, Vt)`` of the entries, computed once, read-only."""
+        factors = np.linalg.svd(self.entries, full_matrices=True)
+        for f in factors:
+            f.setflags(write=False)
+        return tuple(factors)
 
 
 def _check_state(fw: Framework, p) -> np.ndarray:
@@ -88,17 +99,13 @@ def rigidity_matrix(fw: Framework, p=None) -> RigidityMatrix:
     k = np.arange(fw.m)
     entries[k, i] = rows
     entries[k, j] = -rows
-    return RigidityMatrix(
-        entries=entries.reshape(fw.m, fw.n * fw.d), edges=fw.edges, framework_hash=fw.content_hash()
-    )
+    return RigidityMatrix(entries=entries.reshape(fw.m, fw.n * fw.d), framework=fw)
 
 
 def rigidity_rank(rm: RigidityMatrix, rank_tol: float | None = None) -> int:
     """Numerical rank of the rigidity matrix."""
-    if rm.entries.size == 0:
-        return 0
-    s = np.linalg.svd(rm.entries, compute_uv=False)
-    cutoff = max(rm.shape) * s[0] * np.finfo(float).eps if rank_tol is None else rank_tol
+    s = rm.svd[1]
+    cutoff = _default_rank_tol(s, rm.shape) if rank_tol is None else rank_tol
     return int(np.sum(s > cutoff))
 
 
@@ -185,17 +192,18 @@ def rbm_basis(fw: Framework) -> RbmBasis:
 
 def flex_space(rm: RigidityMatrix, rank_tol: float | None = None, tol: float = DEFAULT_TOL) -> Subspace:
     """Infinitesimal flexes: the numerical nullspace of the rigidity matrix."""
-    return nullspace(rm.entries, rank_tol=rank_tol, tol=tol)
+    return Subspace(basis=rm.svd[2][rigidity_rank(rm, rank_tol) :].T, tol=tol)
 
 
 def self_stress_space(rm: RigidityMatrix, rank_tol: float | None = None, tol: float = DEFAULT_TOL) -> Subspace:
-    """Self-stresses: the numerical nullspace of the transposed rigidity matrix."""
+    """Self-stresses: the numerical nullspace of the transposed rigidity
+    matrix, from an SVD of its own (the cached U spans it in another basis)."""
     return nullspace(rm.entries.T, rank_tol=rank_tol, tol=tol)
 
 
 def deformation_space(rm: RigidityMatrix, rank_tol: float | None = None, tol: float = DEFAULT_TOL) -> Subspace:
     """Infinitesimal deformations: the row space of the rigidity matrix."""
-    return row_space(rm.entries, rank_tol=rank_tol, tol=tol)
+    return Subspace(basis=rm.svd[2][: rigidity_rank(rm, rank_tol)].T, tol=tol)
 
 
 def rigid_motion_dim(d: int) -> int:
@@ -203,7 +211,7 @@ def rigid_motion_dim(d: int) -> int:
     return d * (d + 1) // 2
 
 
-def classify_rigidity(fw: Framework, rank_tol: float | None = None) -> str:
+def classify_rigidity(rm: RigidityMatrix, rank_tol: float | None = None) -> str:
     """Classify a framework from the numerical rank of its rigidity matrix.
 
     ``infinitesimally_rigid`` requires the flex space to contain nothing
@@ -211,7 +219,7 @@ def classify_rigidity(fw: Framework, rank_tol: float | None = None) -> str:
     separates ``minimally_rigid`` from ``rigid_with_redundancy``. Anything
     else (including degenerate small configurations) reports ``flexible``.
     """
-    rm = rigidity_matrix(fw)
+    fw = rm.framework
     rank = rigidity_rank(rm, rank_tol)
     flex_dim = fw.n * fw.d - rank
     rbm_dim = rigid_motion_dim(fw.d)
@@ -223,7 +231,3 @@ def classify_rigidity(fw: Framework, rank_tol: float | None = None) -> str:
     if fw.m > minimal_edges:
         return RIGID_WITH_REDUNDANCY
     return INFINITESIMALLY_RIGID
-
-
-def is_infinitesimally_rigid(fw: Framework, rank_tol: float | None = None) -> bool:
-    return classify_rigidity(fw, rank_tol) != FLEXIBLE

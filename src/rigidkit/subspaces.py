@@ -30,7 +30,6 @@ __all__ = [
     "Subspace",
     "orthonormalize",
     "nullspace",
-    "row_space",
     "project",
     "principal_angles",
     "intersect",
@@ -118,28 +117,10 @@ def nullspace(matrix, rank_tol: float | None = None, tol: float = DEFAULT_TOL) -
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
-    rows, cols = a.shape
-    if rows == 0 or cols == 0:
-        basis = np.eye(cols)
-        return Subspace(basis=basis, tol=tol)
     _, s, vt = np.linalg.svd(a, full_matrices=True)
     cutoff = _default_rank_tol(s, a.shape) if rank_tol is None else float(rank_tol)
     rank = int(np.sum(s > cutoff))
     return Subspace(basis=vt[rank:].T, tol=tol)
-
-
-def row_space(matrix, rank_tol: float | None = None, tol: float = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of the row space (image of the transpose)."""
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
-    rows, cols = a.shape
-    if rows == 0 or cols == 0:
-        return Subspace.zero(cols, tol)
-    _, s, vt = np.linalg.svd(a, full_matrices=False)
-    cutoff = _default_rank_tol(s, a.shape) if rank_tol is None else float(rank_tol)
-    rank = int(np.sum(s > cutoff))
-    return Subspace(basis=vt[:rank].T, tol=tol)
 
 
 def project(s: Subspace, v) -> np.ndarray:

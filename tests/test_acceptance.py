@@ -43,7 +43,7 @@ def test_criterion_01_rigidity_pipeline():
     fw = square_with_diagonal()
     rm = rk.rigidity_matrix(fw)
     rank = rk.rigidity_rank(rm)
-    classification = rk.classify_rigidity(fw)
+    classification = rk.classify_rigidity(rm)
     elapsed = time.perf_counter() - start
     assert rank == 5 == 2 * fw.n - 3
     assert classification == rk.MINIMALLY_RIGID

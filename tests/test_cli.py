@@ -1,8 +1,10 @@
 """Command-line runner: artifacts, exit codes, determinism, --check."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,13 @@ from conftest import case_study_scenario_dict, triangle_scenario_dict, write_sce
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_python(*args):
+    """A fresh interpreter that imports the rigidkit under test."""
+    paths = [str(Path(rk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 @pytest.fixture()
@@ -61,6 +70,47 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     bad.write_text("{oops", encoding="utf-8")
     assert run(["analyze", bad, "--out", tmp_path / "run"]) == EXIT_INPUT
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"edges": [["one", 2], [1, 3], [2, 3]]}, "edges"),
+        ({"sim": {"dt": "x"}}, "sim.dt"),
+        ({"w0": "ab"}, "w0"),
+        ({"sim": [1]}, "sim"),
+        ({"tol": [1]}, "tol"),
+        ({"edges": [1, 2]}, "edges"),
+        ({"actuator": 1.7}, "actuator"),
+        ({"n": True}, "n"),
+    ],
+    ids=["string-edge-index", "string-dt", "string-w0", "sim-list", "tol-list", "edges-flat",
+         "fractional-actuator", "bool-n"],
+)
+def test_malformed_field_exits_2(tmp_path, capsys, overrides, field):
+    path = write_scenario(tmp_path / "bad.json", triangle_scenario_dict(**overrides))
+    assert run(["analyze", path, "--out", tmp_path / "run"]) == EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {field}: expected")
+
+
+@pytest.mark.parametrize("scenario", [triangle_scenario_dict, case_study_scenario_dict])
+def test_decompositions_computed_once_per_run(tmp_path, monkeypatch, scenario):
+    """``modes`` runs one eigh of A; ``analyze`` one SVD each of R and R^T
+    and one of the rigid-body rotation generators."""
+    counts = {"eigh": 0, "svd": 0}
+    for name, fn in [("eigh", np.linalg.eigh), ("svd", np.linalg.svd)]:
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    path = write_scenario(tmp_path / "s.json", scenario())
+    assert run(["modes", path, "--out", tmp_path / "run"]) == EXIT_OK
+    assert counts["eigh"] == 1
+    counts.update(eigh=0, svd=0)
+    assert run(["analyze", path, "--out", tmp_path / "run"]) == EXIT_OK
+    assert counts == {"eigh": 0, "svd": 3}
 
 
 def test_invariant_violation_exits_2(tmp_path, capsys):
@@ -263,18 +313,14 @@ def test_env_var_output_dir(tmp_path, triangle_file, monkeypatch):
 
 
 def test_module_entry_point(tmp_path, triangle_file):
-    proc = subprocess.run(
-        [sys.executable, "-m", "rigidkit.cli", "analyze", str(triangle_file), "--out", str(tmp_path / "run")],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python("-m", "rigidkit.cli", "analyze", str(triangle_file), "--out", str(tmp_path / "run"))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "run" / "report.json").exists()
 
 
 def test_cli_import_loads_no_scipy():
     code = "import sys, rigidkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -15,14 +15,16 @@ from conftest import (
 )
 
 
-def krylov_uncontrollable(sys):
-    """Independent oracle: nullspace of the controllability matrix transpose,
-    with per-power column normalization to keep the scales sane."""
+def krylov_hidden(A, B):
+    """Independent oracle: nullspace of the transposed Krylov matrix
+    [B, AB, ..., A^(nd-1) B], with per-power column normalization to keep
+    the scales sane. (A, B) gives the uncontrollable subspace and, A being
+    symmetric, (A, C^T) the unobservable one."""
     blocks = []
-    power = sys.B.copy()
-    for _ in range(sys.dim):
+    power = B.copy()
+    for _ in range(A.shape[0]):
         blocks.append(power / max(np.linalg.norm(power), 1e-300))
-        power = sys.A @ power
+        power = A @ power
     return rk.nullspace(np.hstack(blocks).T)
 
 
@@ -72,8 +74,26 @@ def test_stiffness_kernel_matches_flex_space():
 
 def test_eigenvalue_grouping_square():
     fw = square_with_diagonal()
-    groups = rk.eigenspaces(rk.linearize(fw, 0, 2).A)
+    groups = rk.linearize(fw, 0, 2).eigen_groups
     assert [basis.shape[1] for _, basis in groups] == [1, 3, 1, 3]
+
+
+def test_zero_group_follows_rigidity_rank():
+    """On an ill-conditioned rigid lattice the three slowest deformation
+    eigenvalues lie within the grouping gap of zero; the zero group must
+    still hold exactly the nd - rank(R) rigid-body modes, and the split and
+    the rotation characterization must agree on one hidden rotation."""
+    fw = random_rigid_framework(np.random.default_rng(0), 60, 2, ratio=0.0)
+    sys = rk.linearize(fw, 0, 30)
+    assert rk.rigidity_rank(sys.rigidity) == 2 * fw.n - 3
+    assert sys.eigen_groups[-1][1].shape[1] == 3
+    checks = rk.hidden_mode_checks(sys)
+    split = checks["uncontrollable_split"]
+    assert split["rbm_component_dim"] == 1
+    assert split["direct_sum_holds"]
+    assert checks["rotation_characterization"]["uncontrollable_rbm_dim"] == 1
+    assert checks["rotation_characterization"]["matches"]
+    assert checks["existence_bound"]["holds"]
 
 
 def test_uncontrollable_triangle_is_rotation_about_actuator():
@@ -86,13 +106,20 @@ def test_uncontrollable_triangle_is_rotation_about_actuator():
 
 
 def test_uncontrollable_matches_krylov_oracle():
-    for fw, node in [(triangle(), 0), (square_with_diagonal(), 0), (square_with_diagonal(), 1)]:
-        sys = rk.linearize(fw, node, 0)
-        u = rk.uncontrollable_subspace(sys)
-        oracle = krylov_uncontrollable(sys)
-        assert u.dim == oracle.dim
-        if u.dim:
-            assert rk.principal_angles(u, oracle).max() < 1e-7
+    rng = np.random.default_rng(41)
+    frameworks = [triangle(), square_with_diagonal()]
+    frameworks += [random_rigid_framework(rng, n, 2) for n in range(4, 9) for _ in range(2)]
+    for fw in frameworks:
+        for node in range(fw.n):
+            sensor = (node + 1) % fw.n
+            sys = rk.linearize(fw, node, sensor)
+            for hidden, oracle in [
+                (rk.uncontrollable_subspace(sys), krylov_hidden(sys.A, sys.B)),
+                (rk.unobservable_subspace(sys), krylov_hidden(sys.A, sys.C.T)),
+            ]:
+                assert hidden.dim == oracle.dim
+                if hidden.dim:
+                    assert rk.principal_angles(hidden, oracle).max() < 1e-7
 
 
 def test_uncontrollable_no_edges():
@@ -242,7 +269,7 @@ def test_rotation_inclusion_everywhere():
 
 
 def test_specialization_report_triangle():
-    rep = rk.specialization_report(triangle(), 0)
+    rep = rk.specialization_report(rk.linearize(triangle(), 0, 0))
     assert rep["rigid"]["applicable"]
     assert rep["rigid"]["components_orthogonal"]
     assert rep["complete_graph"]["applicable"]  # K3 is complete
@@ -251,10 +278,10 @@ def test_specialization_report_triangle():
 
 
 def test_specialization_report_gating():
-    rep = rk.specialization_report(square_with_diagonal(), 0)
+    rep = rk.specialization_report(rk.linearize(square_with_diagonal(), 0, 0))
     assert not rep["complete_graph"]["applicable"]
     assert "complete" in rep["complete_graph"]["reason"]
-    flex = rk.specialization_report(four_cycle(), 0)
+    flex = rk.specialization_report(rk.linearize(four_cycle(), 0, 0))
     assert not flex["rigid"]["applicable"]
 
 

@@ -195,17 +195,38 @@ def test_rigid_motion_invariance():
 
 
 def test_classification_examples():
-    assert rk.classify_rigidity(square_with_diagonal()) == rk.MINIMALLY_RIGID
-    assert rk.classify_rigidity(complete_k4()) == rk.RIGID_WITH_REDUNDANCY
-    assert rk.classify_rigidity(four_cycle()) == rk.FLEXIBLE
-    assert rk.classify_rigidity(collinear_path()) == rk.FLEXIBLE
-    assert rk.classify_rigidity(two_nodes()) == rk.MINIMALLY_RIGID
-    assert rk.classify_rigidity(no_edges()) == rk.FLEXIBLE
+    def classify(fw):
+        return rk.classify_rigidity(rk.rigidity_matrix(fw))
+
+    assert classify(triangle()) == rk.MINIMALLY_RIGID
+    assert classify(square_with_diagonal()) == rk.MINIMALLY_RIGID
+    assert classify(complete_k4()) == rk.RIGID_WITH_REDUNDANCY
+    assert classify(four_cycle()) == rk.FLEXIBLE
+    assert classify(collinear_path()) == rk.FLEXIBLE
+    assert classify(two_nodes()) == rk.MINIMALLY_RIGID
+    assert classify(no_edges()) == rk.FLEXIBLE
 
 
-def test_is_infinitesimally_rigid():
-    assert rk.is_infinitesimally_rigid(triangle())
-    assert not rk.is_infinitesimally_rigid(four_cycle())
+def test_flex_and_deformation_spaces_complement(assorted_frameworks):
+    """Both spaces come from the one cached SVD; the oracles are a separate
+    nullspace SVD and an orthonormal basis of the columns of R^T."""
+    for fw in assorted_frameworks:
+        rm = rk.rigidity_matrix(fw)
+        flex, deform = rk.flex_space(rm), rk.deformation_space(rm)
+        nd = fw.n * fw.d
+        assert flex.dim + deform.dim == nd
+        assert deform.dim == rk.rigidity_rank(rm)
+        assert np.linalg.norm(rm.entries @ flex.basis) <= 1e-10 * np.abs(rm.entries).max(initial=1.0)
+        assert rk.direct_sum_check(flex, deform, rk.orthonormalize(np.eye(nd)))
+        oracle_flex = rk.nullspace(rm.entries)
+        assert rk.contains(flex, oracle_flex) and rk.contains(oracle_flex, flex)
+        if deform.dim:
+            oracle_deform = rk.orthonormalize(rm.entries.T, tol=1e-10)
+            assert oracle_deform.dim == deform.dim
+            assert rk.contains(oracle_deform, deform) and rk.contains(deform, oracle_deform)
+        assert rm.svd is rm.svd  # computed once
+        with pytest.raises(ValueError):
+            rm.svd[2][0, 0] = 1.0
 
 
 def test_jacobian_oracle_random_frameworks_both_dimensions():

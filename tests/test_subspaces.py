@@ -184,17 +184,6 @@ def test_direct_sum_requires_containment():
     assert not rk.direct_sum_check(span(E1), span(E3), span(E1, E2))
 
 
-def test_nullspace_and_row_space_complement():
-    rng = np.random.default_rng(13)
-    m = rng.normal(size=(4, 9))
-    null = rk.nullspace(m)
-    rows = rk.row_space(m)
-    assert null.dim + rows.dim == 9
-    assert np.linalg.norm(m @ null.basis) <= 1e-10
-    full = rk.orthonormalize(np.eye(9))
-    assert rk.direct_sum_check(null, rows, full)
-
-
 def test_nullspace_of_empty_matrix_is_everything():
     null = rk.nullspace(np.zeros((0, 5)))
     assert null.dim == 5
