@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rigidkit as rk
+from rigidkit.rigidity import rigid_motion_dim
 
 from conftest import (
     collinear_path,
@@ -205,6 +206,16 @@ def test_classification_examples():
     assert classify(collinear_path()) == rk.FLEXIBLE
     assert classify(two_nodes()) == rk.MINIMALLY_RIGID
     assert classify(no_edges()) == rk.FLEXIBLE
+
+
+def test_is_infinitesimally_rigid():
+    """A framework is infinitesimally rigid exactly when it does not classify
+    as flexible: its flex space holds only the rigid-body motions."""
+    rigid, flexible = rk.rigidity_matrix(triangle()), rk.rigidity_matrix(four_cycle())
+    assert rk.classify_rigidity(rigid) != rk.FLEXIBLE
+    assert rk.flex_space(rigid).dim == rigid_motion_dim(2)
+    assert rk.classify_rigidity(flexible) == rk.FLEXIBLE
+    assert rk.flex_space(flexible).dim > rigid_motion_dim(2)
 
 
 def test_flex_and_deformation_spaces_complement(assorted_frameworks):
