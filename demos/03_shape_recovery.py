@@ -21,12 +21,14 @@ rbm = rk.rbm_basis(fw)
 r_i = rk.block(rbm.v_r, actuator, 2)
 print("rotational mode velocity at the actuated node:", r_i)
 
+# every experiment below shares one linearized system (and its eigh of A)
+sys = rk.linearize(fw, actuator, sensor=2)
 sim = rk.SimSettings(dt=0.005, t_end=40.0)
 
 
 def experiment(label, w0):
     sc = rk.Scenario(framework=fw, actuator=actuator, sensor=2, w0=np.asarray(w0), sim=sim)
-    out = rk.shape_recovery_experiment(sc)
+    out = rk.shape_recovery_experiment(sc, sys)
     print(f"\n--- {label} ---")
     print("alignment <r_i, w0>:", out.alignment)
     print("verdict:", out.verdict)
@@ -52,7 +54,7 @@ sc = rk.Scenario(
     framework=fw, actuator=actuator, sensor=2,
     w0=r_i / np.linalg.norm(r_i), sim=rk.SimSettings(dt=0.002, t_end=40.0),
 )
-nl = rk.shape_recovery_experiment(sc, nonlinear=True)
+nl = rk.shape_recovery_experiment(sc, sys, nonlinear=True)
 print("\nnonlinear comparison, aligned impulse:")
 print("  linearized final edge error:", np.abs(nl.simulated_final_edge_errors).max())
 print("  nonlinear final edge error: ", np.abs(nl.nonlinear_final_edge_errors).max())

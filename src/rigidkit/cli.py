@@ -28,6 +28,7 @@ import numpy as np
 from .dynamics import (
     NumericalError,
     controllable_plane,
+    edge_error_series,
     shape_recovery_experiment,
     sweep_impulse_angles,
 )
@@ -43,6 +44,7 @@ from .framework import (
 from .jsonio import dump_json, format_float, load_json
 from .modes import (
     classify_modes,
+    elementary_rotations,
     global_rotation_subspace,
     hidden_mode_checks,
     linearize,
@@ -63,6 +65,9 @@ from .rigidity import (
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+# --check tolerances for numbers that differ from the recorded run
+CHECK_RTOL = 1e-9
+CHECK_ATOL = 1e-12
 
 __all__ = ["main", "EXIT_OK", "EXIT_INPUT", "EXIT_NUMERICAL"]
 
@@ -91,13 +96,8 @@ def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
 def _write_trajectory_csv(scenario: Scenario, traj, path: Path) -> None:
     """Columns t, p_1x, p_1y, ..., e_1, ..., e_m, V with absolute positions
     and exact edge errors, for either kind of trajectory."""
-    from .dynamics import edge_error_series
-
     fw = scenario.framework
-    if traj.kind == "lti":
-        positions = traj.states + fw.positions
-    else:
-        positions = traj.states
+    positions = traj.states + fw.positions if traj.kind == "lti" else traj.states
     errors = edge_error_series(fw, traj).exact
     potential = 0.5 * np.einsum("tk,tk->t", errors, errors)
     table = np.column_stack([traj.times, positions, errors, potential])
@@ -154,19 +154,23 @@ def _is_number(x) -> bool:
     return type(x) in (int, float)  # bools and strings are compared exactly
 
 
-def _values_match(a, b, rtol=1e-9, atol=1e-12) -> bool:
+def _close(a, b) -> bool:
+    return bool(np.allclose(a, b, rtol=CHECK_RTOL, atol=CHECK_ATOL))
+
+
+def _values_match(a, b) -> bool:
     if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_values_match(a[k], b[k], rtol, atol) for k in a)
+        return a.keys() == b.keys() and all(_values_match(a[k], b[k]) for k in a)
     if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
         if len(a) != len(b):
             return False
         if all(map(_is_number, a)) and all(map(_is_number, b)):
-            return bool(np.allclose(np.array(a, dtype=float), np.array(b, dtype=float), rtol=rtol, atol=atol))
-        return all(_values_match(x, y, rtol, atol) for x, y in zip(a, b))
+            return _close(np.array(a, dtype=float), np.array(b, dtype=float))
+        return all(_values_match(x, y) for x, y in zip(a, b))
     if isinstance(a, bool) or isinstance(b, bool):
         return a == b
     if _is_number(a) and _is_number(b):
-        return bool(np.isclose(a, b, rtol=rtol, atol=atol))
+        return _close(a, b)
     return a == b
 
 
@@ -175,7 +179,7 @@ def _parse_floats(lines: list[str]) -> np.ndarray:
     return np.array(",".join(lines).split(","), dtype=float)
 
 
-def _csv_match(new_lines: list[str], old_lines: list[str], rtol=1e-9, atol=1e-12) -> bool:
+def _csv_match(new_lines: list[str], old_lines: list[str]) -> bool:
     """Headers and row counts must agree exactly. Rows that differ as text
     must both be numeric with the same field count, and agree within
     tolerance; a differing row that is not numeric fails the match."""
@@ -193,7 +197,7 @@ def _csv_match(new_lines: list[str], old_lines: list[str], rtol=1e-9, atol=1e-12
         old = _parse_floats([b for _, b in pairs])
     except ValueError:
         return False
-    return bool(np.allclose(new, old, rtol=rtol, atol=atol))
+    return _close(new, old)
 
 
 def _files_match(fresh: Path, existing: Path) -> bool:
@@ -321,7 +325,8 @@ def cmd_dichotomy(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
 
     def runner(out_dir: Path) -> list[str]:
-        outcome = shape_recovery_experiment(scenario, nonlinear=args.nonlinear)
+        sys_ = linearize(scenario.framework, scenario.actuator, scenario.sensor)
+        outcome = shape_recovery_experiment(scenario, sys_, nonlinear=args.nonlinear)
         save_scenario(scenario, out_dir / "scenario.json")
         files = ["scenario.json", "outcome.json", "trajectory.csv"]
         dump_json(
@@ -339,7 +344,7 @@ def cmd_dichotomy(args) -> int:
             )
             files.append("trajectory_nonlinear.csv")
         if args.sweep:
-            table = sweep_impulse_angles(scenario, args.sweep)
+            table = sweep_impulse_angles(scenario, sys_, args.sweep)
             _write_csv(
                 out_dir / "sweep.csv",
                 ["angle", "alignment", "c_r", "max_final_edge_error"],
@@ -367,8 +372,6 @@ def cmd_plotdata(args) -> int:
         return EXIT_INPUT
 
     def runner(out_dir: Path) -> list[str]:
-        from .modes import elementary_rotations
-
         pts = fw.points
         rotation = global_rotation_subspace(fw, scenario.actuator).basis[:, 0]
         rows = [

@@ -12,6 +12,13 @@ rigid-body mode's local velocity at the actuated node.
 The recovery/distortion verdict is a first-order statement and is produced
 from the linearized model; a nonlinear comparison run is available behind
 a flag and reported without being asserted against.
+
+Only the nonlinear flow is stepped. ``A`` is symmetric, so a fixed-step
+method applied to ``x' = A x`` acts mode by mode: step k maps ``x0`` to
+``V diag(g**k) V^T x0``, where ``A = V diag(lam) V^T`` and ``g`` is the
+method's growth factor per step at ``dt * lam`` (its stability function;
+Hairer & Wanner, Solving ODEs II, IV.2). The linearized trajectory and the
+angle sweep both read this closed-form iterate.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .framework import Framework, Scenario, SimSettings, ValidationError, block
-from .modes import LinearizedSystem, linearize
+from .modes import LinearizedSystem
 from .rigidity import (
     FLEXIBLE,
     RbmBasis,
@@ -75,14 +82,15 @@ class Trajectory:
     potential: np.ndarray  # (T,)
     framework_hash: str
 
-    def tail_state(self, fraction: float = TAIL_FRACTION) -> np.ndarray:
-        """Mean state over the trailing fraction of samples."""
-        k = max(1, int(round(fraction * len(self.times))))
-        return self.states[-k:].mean(axis=0)
+    def tail_state(self) -> np.ndarray:
+        """Mean state over the trailing ``TAIL_FRACTION`` of samples."""
+        return _tail_mean(self.states)
 
-    def tail_edge_errors(self, fraction: float = TAIL_FRACTION) -> np.ndarray:
-        k = max(1, int(round(fraction * len(self.times))))
-        return self.edge_errors[-k:].mean(axis=0)
+
+def _tail_mean(rows: np.ndarray) -> np.ndarray:
+    """Mean over the trailing ``TAIL_FRACTION`` of the rows, at least one."""
+    k = max(1, int(round(TAIL_FRACTION * len(rows))))
+    return rows[-k:].mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -95,8 +103,6 @@ class EdgeErrorSeries:
 
 def _edge_errors_of_states(fw: Framework, states: np.ndarray, r_star: np.ndarray) -> np.ndarray:
     """Exact squared-length errors for a (T, n*d) stack of configurations."""
-    if fw.m == 0:
-        return np.zeros((states.shape[0], 0))
     idx_i, idx_j = fw.edge_ends.T
     pts = states.reshape(states.shape[0], fw.n, fw.d)
     diff = pts[:, idx_i, :] - pts[:, idx_j, :]
@@ -104,39 +110,54 @@ def _edge_errors_of_states(fw: Framework, states: np.ndarray, r_star: np.ndarray
 
 
 def _stepper(rhs, dt: float, method: str):
-    if method == "rk4":
+    """One step of ``method`` ("rk4" or "euler", checked by SimSettings)."""
+    if method == "euler":
+        return lambda y: y + dt * rhs(y)
 
-        def step(y):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * dt * k1)
-            k3 = rhs(y + 0.5 * dt * k2)
-            k4 = rhs(y + dt * k3)
-            return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def step(y):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    elif method == "euler":
-
-        def step(y):
-            return y + dt * rhs(y)
-
-    else:
-        raise ValidationError(f"sim.method: expected 'rk4' or 'euler', got {method!r}")
     return step
 
 
-def _integrate(rhs, y0: np.ndarray, settings: SimSettings):
-    steps = max(1, int(round(settings.t_end / settings.dt)))
-    times = np.arange(steps + 1) * settings.dt
-    states = np.empty((steps + 1, y0.size))
+def _steps(settings: SimSettings) -> int:
+    return max(1, int(round(settings.t_end / settings.dt)))
+
+
+def _raise_if_non_finite(rows: np.ndarray, settings: SimSettings) -> None:
+    """NumericalError naming the first step whose row is not finite."""
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise NumericalError(f"non-finite state at step {bad[0]} (t={bad[0] * settings.dt:.6g})")
+
+
+def _integrate(rhs, y0: np.ndarray, settings: SimSettings) -> np.ndarray:
+    """The one stepping loop, used by the nonlinear flow."""
+    states = np.empty((_steps(settings) + 1, y0.size))
+    states[0] = y0
     step = _stepper(rhs, settings.dt, settings.method)
-    y = np.array(y0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps + 1):
-            if not np.all(np.isfinite(y)):
-                raise NumericalError(f"non-finite state at step {k} (t={k * settings.dt:.6g})")
-            states[k] = y
-            if k < steps:
-                y = step(y)
-    return times, states
+        for k in range(1, len(states)):
+            if not np.isfinite(states[k - 1]).all():
+                break  # the rows left unset follow the first non-finite one
+            states[k] = step(states[k - 1])
+    _raise_if_non_finite(states, settings)
+    return states
+
+
+def _trajectory(kind: str, fw: Framework, states, errors, settings: SimSettings) -> Trajectory:
+    return Trajectory(
+        kind=kind,
+        times=np.arange(len(states)) * settings.dt,
+        states=states,
+        edge_errors=errors,
+        potential=0.5 * np.einsum("tk,tk->t", errors, errors),
+        framework_hash=fw.content_hash(),
+    )
 
 
 def _gradient_rhs(fw: Framework, r_star: np.ndarray):
@@ -149,8 +170,6 @@ def _gradient_rhs(fw: Framework, r_star: np.ndarray):
     n, d = fw.n, fw.d
 
     def rhs(p):
-        if fw.m == 0:
-            return np.zeros_like(p)
         pts = p.reshape(n, d)
         diff = pts[idx_i] - pts[idx_j]
         err = np.einsum("kd,kd->k", diff, diff) - r_star
@@ -169,42 +188,38 @@ def simulate_nonlinear(fw: Framework, p0, settings: SimSettings = SimSettings())
     if start.size != fw.n * fw.d:
         raise ValidationError(f"state length: expected {fw.n * fw.d}, got {start.size}")
     r_star = rigidity_function(fw, fw.positions)
-    times, states = _integrate(_gradient_rhs(fw, r_star), start, settings)
-    errors = _edge_errors_of_states(fw, states, r_star)
-    potential = 0.5 * np.einsum("tk,tk->t", errors, errors)
-    return Trajectory(
-        kind="nonlinear",
-        times=times,
-        states=states,
-        edge_errors=errors,
-        potential=potential,
-        framework_hash=fw.content_hash(),
-    )
+    states = _integrate(_gradient_rhs(fw, r_star), start, settings)
+    return _trajectory("nonlinear", fw, states, _edge_errors_of_states(fw, states, r_star), settings)
+
+
+def _modal_powers(sys: LinearizedSystem, settings: SimSettings) -> np.ndarray:
+    """(steps + 1, nd) table of ``g**k``, with ``g`` one step of ``y' = lam * y``
+    from ``y = 1`` for every eigenvalue ``lam`` of ``A`` at once."""
+    lam = sys.spectrum[0]
+    growth = _stepper(lambda y: lam * y, settings.dt, settings.method)(np.ones_like(lam))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return growth ** np.arange(_steps(settings) + 1)[:, None]
 
 
 def simulate_lti(sys: LinearizedSystem, dp0, settings: SimSettings = SimSettings()) -> Trajectory:
-    """Integrate the linearized model from a deviation state.
+    """The method's iterates on the linearized model from a deviation
+    state, in closed form: row k is ``V diag(g**k) V^T dp0``.
 
-    An impulse of direction ``w0`` and magnitude ``g`` corresponds to the
-    initial deviation ``B @ w0 * g``. Edge errors along the trajectory are
+    An impulse of direction ``w0`` and magnitude ``s`` corresponds to the
+    initial deviation ``B @ w0 * s``. Edge errors along the trajectory are
     the linearized ones; :func:`edge_error_series` also provides the exact
     variant.
     """
     start = np.asarray(dp0, dtype=float).ravel()
     if start.size != sys.dim:
         raise ValidationError(f"state length: expected {sys.dim}, got {start.size}")
-    a = sys.A
-    times, states = _integrate(lambda y: a @ y, start, settings)
-    errors = states @ sys.rigidity.entries.T
-    potential = 0.5 * np.einsum("tk,tk->t", errors, errors)
-    return Trajectory(
-        kind="lti",
-        times=times,
-        states=states,
-        edge_errors=errors,
-        potential=potential,
-        framework_hash=sys.framework.content_hash(),
-    )
+    vec = sys.spectrum[1]
+    modal = _modal_powers(sys, settings)
+    with np.errstate(over="ignore", invalid="ignore"):
+        modal *= vec.T @ start
+        states = modal @ vec.T
+    _raise_if_non_finite(states, settings)
+    return _trajectory("lti", sys.framework, states, states @ sys.rigidity.entries.T, settings)
 
 
 def edge_error_series(fw: Framework, traj: Trajectory) -> EdgeErrorSeries:
@@ -375,13 +390,19 @@ class ImpulseOutcome:
         return out
 
 
+def _check_planar_system(scenario: Scenario, sys: LinearizedSystem, what: str) -> None:
+    if scenario.framework.d != 2:
+        raise ValidationError(f"{what} requires d=2, got d={scenario.framework.d}")
+    key = (scenario.framework.content_hash(), scenario.actuator, scenario.sensor)
+    if (sys.framework.content_hash(), sys.actuator, sys.sensor) != key:
+        raise ValidationError(f"{what}: the linearized system belongs to another framework or nodes")
+
+
 def shape_recovery_experiment(
-    scenario: Scenario,
-    nonlinear: bool = False,
-    tol: float | None = None,
-    rank_tol: float | None = None,
+    scenario: Scenario, sys: LinearizedSystem, nonlinear: bool = False
 ) -> ImpulseOutcome:
-    """Run one impulse experiment and decide recovery vs distortion.
+    """Run one impulse experiment on ``sys``, the scenario's linearized
+    system, and decide recovery vs distortion.
 
     The verdict is "recovery" when the input direction is orthogonal to the
     rotational mode's local velocity at the actuated node (within the
@@ -390,19 +411,11 @@ def shape_recovery_experiment(
     and the rigid-body reasoning does not apply; the flex excitation
     magnitude is reported instead.
     """
+    _check_planar_system(scenario, sys, "shape recovery experiment")
     fw = scenario.framework
-    if fw.d != 2:
-        raise ValidationError(f"shape recovery experiment requires d=2, got d={fw.d}")
-    sub_tol = tol if tol is not None else (scenario.tol.subspace or DEFAULT_TOL)
-    r_tol = rank_tol if rank_tol is not None else scenario.tol.rank
-
-    sys = linearize(fw, scenario.actuator, scenario.sensor)
-    classification = classify_rigidity(sys.rigidity, r_tol)
+    classification = classify_rigidity(sys.rigidity, scenario.tol.rank)
     if classification == FLEXIBLE:
-        warnings.warn(
-            "framework is flexible: the recovery/distortion verdict is withheld",
-            stacklevel=2,
-        )
+        warnings.warn("framework is flexible: the recovery/distortion verdict is withheld", stacklevel=2)
 
     rbm = rbm_basis(fw)
     r_i = block(rbm.v_r, scenario.actuator, 2)
@@ -425,30 +438,23 @@ def shape_recovery_experiment(
     # rotation field stack(Omega (p_k - p_cm))
     centered = fw.points - rbm.center
     rotation_angle = coeffs[2] / float(np.sqrt(np.einsum("kd,kd->", centered, centered)))
-    if fw.m:
-        idx_i, idx_j = fw.edge_ends.T
-        rotated = (fw.points[idx_i] - fw.points[idx_j]) @ rotation_2d().T
-        predicted = r_star + rotation_angle**2 * np.einsum("kd,kd->k", rotated, rotated)
-    else:
-        predicted = np.zeros(0)
+    idx_i, idx_j = fw.edge_ends.T
+    rotated = (fw.points[idx_i] - fw.points[idx_j]) @ rotation_2d().T
+    predicted = r_star + rotation_angle**2 * np.einsum("kd,kd->k", rotated, rotated)
 
-    steady = steady_state(sys, scenario.w0, scenario.impulse, r_tol)
+    steady = steady_state(sys, scenario.w0, scenario.impulse, scenario.tol.rank)
 
     flex_excitation = None
     if classification == FLEXIBLE:
         verdict = "withheld"
         rbm_part = rbm.matrix @ (rbm.matrix.T @ dp0)
         flex_excitation = float(np.linalg.norm(steady - rbm_part))
-    elif abs(alignment) <= sub_tol:
+    elif abs(alignment) <= (scenario.tol.subspace or DEFAULT_TOL):
         verdict = "recovery"
     else:
         verdict = "distortion"
 
-    nl_traj = None
-    nl_errors = None
-    if nonlinear:
-        nl_traj = simulate_nonlinear(fw, fw.positions + dp0, scenario.sim)
-        nl_errors = nl_traj.tail_edge_errors()
+    nl_traj = simulate_nonlinear(fw, fw.positions + dp0, scenario.sim) if nonlinear else None
 
     return ImpulseOutcome(
         w0=np.array(scenario.w0),
@@ -467,22 +473,22 @@ def shape_recovery_experiment(
         flex_excitation=flex_excitation,
         trajectory=traj,
         nonlinear_trajectory=nl_traj,
-        nonlinear_final_edge_errors=nl_errors,
+        nonlinear_final_edge_errors=None if nl_traj is None else _tail_mean(nl_traj.edge_errors),
     )
 
 
-def sweep_impulse_angles(scenario: Scenario, n_angles: int) -> np.ndarray:
-    """Impulse responses for input directions swept around the circle.
+def sweep_impulse_angles(scenario: Scenario, sys: LinearizedSystem, n_angles: int) -> np.ndarray:
+    """Impulse responses for input directions swept around the circle, on
+    ``sys``, the scenario's linearized system.
 
     Returns one row per angle: (angle, alignment, c_r, max final exact edge
-    error). All angles are integrated together as one batched linear system,
-    which keeps the output ordering deterministic.
+    error). The final state of every angle at once is the tail mean of the
+    closed-form iterate, ``V diag(mean of g**k) V^T B w0``.
     """
-    fw = scenario.framework
-    if fw.d != 2:
-        raise ValidationError(f"angle sweep requires d=2, got d={fw.d}")
+    _check_planar_system(scenario, sys, "angle sweep")
     if n_angles < 1:
         raise ValidationError(f"sweep size must be positive, got {n_angles}")
+    fw = scenario.framework
 
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     directions = np.vstack([np.cos(angles), np.sin(angles)])  # (2, N)
@@ -492,24 +498,12 @@ def sweep_impulse_angles(scenario: Scenario, n_angles: int) -> np.ndarray:
     alignments = r_i @ directions
     c_r = alignments * scenario.impulse
 
-    sys = linearize(fw, scenario.actuator, scenario.sensor)
-    y = sys.B @ directions * scenario.impulse  # (nd, N)
-    settings = scenario.sim
-    steps = max(1, int(round(settings.t_end / settings.dt)))
-    step = _stepper(lambda z: sys.A @ z, settings.dt, settings.method)
-    tail_start = steps + 1 - max(1, int(round(TAIL_FRACTION * (steps + 1))))
-    acc = np.zeros_like(y)
-    count = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps + 1):
-            if (k % 64 == 0 or k == steps) and not np.all(np.isfinite(y)):
-                raise NumericalError(f"non-finite state at step {k} (t={k * settings.dt:.6g})")
-            if k >= tail_start:
-                acc += y
-                count += 1
-            if k < steps:
-                y = step(y)
-    tails = acc / count  # (nd, N)
+    modal = _modal_powers(sys, scenario.sim)
+    # a row of g**k that is not finite leaves every state at that step non-finite
+    _raise_if_non_finite(modal, scenario.sim)
+    vec = sys.spectrum[1]
+    jumps = sys.B @ directions * scenario.impulse  # (nd, N)
+    tails = vec @ (_tail_mean(modal)[:, None] * (vec.T @ jumps))  # (nd, N)
 
     r_star = rigidity_function(fw, fw.positions)
     finals = _edge_errors_of_states(fw, tails.T + fw.positions, r_star)

@@ -22,7 +22,7 @@ def _is_scalar(obj) -> bool:
     return obj is None or isinstance(obj, (bool, int, float, str))
 
 
-def _encode(obj, indent: int, level: int) -> str:
+def _encode(obj, level: int) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -34,16 +34,16 @@ def _encode(obj, indent: int, level: int) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if hasattr(obj, "tolist"):  # numpy arrays
-        return _encode(obj.tolist(), indent, level)
+        return _encode(obj.tolist(), level)
     if hasattr(obj, "item"):  # numpy scalars
-        return _encode(obj.item(), indent, level)
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+        return _encode(obj.item(), level)
+    pad = "  " * level
+    inner = "  " * (level + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         parts = [
-            f"{inner}{json.dumps(str(k))}: {_encode(v, indent, level + 1)}"
+            f"{inner}{json.dumps(str(k))}: {_encode(v, level + 1)}"
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
@@ -51,16 +51,16 @@ def _encode(obj, indent: int, level: int) -> str:
         if not obj:
             return "[]"
         if all(_is_scalar(v) or hasattr(v, "item") for v in obj):
-            flat = "[" + ", ".join(_encode(v, indent, level + 1) for v in obj) + "]"
+            flat = "[" + ", ".join(_encode(v, level + 1) for v in obj) + "]"
             if len(flat) <= 100:
                 return flat
-        parts = [f"{inner}{_encode(v, indent, level + 1)}" for v in obj]
+        parts = [f"{inner}{_encode(v, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def dumps_json(obj, indent: int = 2) -> str:
-    return _encode(obj, indent, 0) + "\n"
+def dumps_json(obj) -> str:
+    return _encode(obj, 0) + "\n"
 
 
 def dump_json(obj, path) -> None:

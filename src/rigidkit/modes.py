@@ -70,8 +70,8 @@ __all__ = [
 class LinearizedSystem:
     """LTI model of the gradient dynamics around the reference configuration.
 
-    Owns the one eigendecomposition of ``A`` and the pinned coefficients
-    that every hidden-mode report reads.
+    Owns the one eigendecomposition of ``A``, which the simulations and
+    every hidden-mode report read, and the reports' pinned coefficients.
     """
 
     rigidity: RigidityMatrix
@@ -91,9 +91,17 @@ class LinearizedSystem:
         return self.A.shape[0]
 
     @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``eigh`` of ``A`` (ascending eigenvalues, eigenvectors), computed once."""
+        lam, vec = np.linalg.eigh(self.A)
+        lam.setflags(write=False)
+        vec.setflags(write=False)
+        return lam, vec
+
+    @cached_property
     def eigen_groups(self) -> tuple[tuple[float, np.ndarray], ...]:
         """Eigenvalue groups of ``A`` (see :func:`eigenspaces`), computed once."""
-        return tuple(eigenspaces(self.A, flex_space(self.rigidity).basis))
+        return tuple(eigenspaces(*self.spectrum, flex_space(self.rigidity).basis))
 
     def pinned_coeffs(self, nodes: tuple[int, ...], tol: float) -> tuple[np.ndarray, ...]:
         """Per eigenvalue group, the coefficients c whose combination
@@ -126,8 +134,9 @@ def linearize(fw: Framework, actuator: int, sensor: int) -> LinearizedSystem:
     return LinearizedSystem(rigidity=rm, actuator=actuator, sensor=sensor, A=a, B=b, C=c)
 
 
-def eigenspaces(A: np.ndarray, flex: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """Eigenvalue groups of the stiffness matrix ``A = -R^T R``, ascending.
+def eigenspaces(lam: np.ndarray, vec: np.ndarray, flex: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """Eigenvalue groups of the stiffness matrix ``A = -R^T R``, ascending,
+    from its ``eigh`` (``lam``, ``vec``).
 
     The last group is the zero eigenspace ker R, spanned by the orthonormal
     ``flex`` from the SVD of R: ``eigh`` resolves eigenvectors only to about
@@ -138,7 +147,6 @@ def eigenspaces(A: np.ndarray, flex: np.ndarray) -> list[tuple[float, np.ndarray
     ``EIG_GROUP_RTOL * max|lambda|`` share one eigenspace, since the pinning
     analysis must act on whole eigenspaces.
     """
-    lam, vec = np.linalg.eigh(A)
     nonzero = lam.size - flex.shape[1]
     vec = vec[:, :nonzero]
     vec = vec - flex @ (flex.T @ vec)
@@ -286,12 +294,6 @@ def _angles_list(s1: Subspace, s2: Subspace) -> list[float]:
     return [float(a) for a in principal_angles(s1, s2)]
 
 
-def _pinned_ambient_subspace(n: int, d: int, node: int, tol: float) -> Subspace:
-    """All stacked vectors whose block at ``node`` vanishes."""
-    keep = [c for c in range(n * d) if not node * d <= c < (node + 1) * d]
-    return Subspace(basis=np.eye(n * d)[:, keep], tol=tol)
-
-
 def rbm_deformation_split_report(
     sys: LinearizedSystem, rank_tol: float | None = None, tol: float = DEFAULT_TOL
 ) -> dict:
@@ -305,15 +307,15 @@ def rbm_deformation_split_report(
     deformation space with the pinned ambient subspace is also reported:
     it can be strictly larger because it may mix eigenspaces.
     """
-    fw = sys.framework
     pieces = _pinned_pieces(sys, sys.actuator, tol)
     # the zero eigenspace of the negative semidefinite A is the last group
     rbm_part = orthonormalize(pieces[-1], tol=tol, ambient_dim=sys.dim)
     def_part = orthonormalize([v for p in pieces[:-1] for v in p.T], tol=tol, ambient_dim=sys.dim)
     total = uncontrollable_subspace(sys, tol)
 
-    pinned_ambient = _pinned_ambient_subspace(fw.n, fw.d, sys.actuator, tol)
-    raw = intersect(deformation_space(sys.rigidity, rank_tol, tol), pinned_ambient)
+    # every stacked vector whose block at the actuator vanishes
+    pinned_ambient = np.delete(np.eye(sys.dim), _block_rows(sys.actuator, sys.framework.d), axis=1)
+    raw = intersect(deformation_space(sys.rigidity, rank_tol, tol), Subspace(pinned_ambient, tol))
 
     return {
         "uncontrollable_dim": total.dim,

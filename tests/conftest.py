@@ -159,6 +159,11 @@ def triangle_scenario_dict(**overrides) -> dict:
     return data
 
 
+def system_of(sc: rk.Scenario) -> rk.LinearizedSystem:
+    """The scenario's linearized system, as the CLI builds it."""
+    return rk.linearize(sc.framework, sc.actuator, sc.sensor)
+
+
 def write_scenario(path, data: dict) -> str:
     from rigidkit.jsonio import dump_json
 

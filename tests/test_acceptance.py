@@ -15,6 +15,7 @@ from conftest import (
     four_cycle,
     random_rigid_framework,
     square_with_diagonal,
+    system_of,
     triangle,
 )
 from test_rigidity import fd_jacobian
@@ -125,7 +126,8 @@ def test_criterion_07_recovery_branch():
     start = time.perf_counter()
     fw = square_with_diagonal()
     r_i = _rotation_block(fw, 0)
-    out = rk.shape_recovery_experiment(_case_scenario([r_i[1], -r_i[0]]))
+    sc = _case_scenario([r_i[1], -r_i[0]])
+    out = rk.shape_recovery_experiment(sc, system_of(sc))
     elapsed = time.perf_counter() - start
     assert out.verdict == "recovery"
     assert np.abs(out.simulated_final_edge_errors).max() < 1e-6
@@ -138,7 +140,8 @@ def test_criterion_07_recovery_branch():
 def test_criterion_08_distortion_branch():
     fw = square_with_diagonal()
     r_i = _rotation_block(fw, 0)
-    out = rk.shape_recovery_experiment(_case_scenario(r_i / np.linalg.norm(r_i)))
+    sc = _case_scenario(r_i / np.linalg.norm(r_i))
+    out = rk.shape_recovery_experiment(sc, system_of(sc))
     assert out.verdict == "distortion"
     r_star = rk.rigidity_function(fw, fw.positions)
     predicted_change = out.predicted_edge_sq_lengths - r_star

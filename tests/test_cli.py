@@ -97,20 +97,35 @@ def test_malformed_field_exits_2(tmp_path, capsys, overrides, field):
 @pytest.mark.parametrize("scenario", [triangle_scenario_dict, case_study_scenario_dict])
 def test_decompositions_computed_once_per_run(tmp_path, monkeypatch, scenario):
     """``modes`` runs one eigh of A; ``analyze`` one SVD each of R and R^T
-    and one of the rigid-body rotation generators."""
-    counts = {"eigh": 0, "svd": 0}
-    for name, fn in [("eigh", np.linalg.eigh), ("svd", np.linalg.svd)]:
-        def counted(*args, _name=name, _fn=fn, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
+    and one of the rigid-body rotation generators; ``dichotomy`` with a
+    sweep and the nonlinear run builds R once and runs one eigh of A."""
+    counts = {"eigh": 0, "svd": 0, "rigidity_matrix": 0}
 
-        monkeypatch.setattr(np.linalg, name, counted)
+    def count(owner, name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("eigh", "svd"):
+        count(np.linalg, name, getattr(np.linalg, name))
+    build = rk.rigidity.rigidity_matrix
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("rigidkit") and getattr(module, "rigidity_matrix", None) is build:
+            count(module, "rigidity_matrix", build)
     path = write_scenario(tmp_path / "s.json", scenario())
-    assert run(["modes", path, "--out", tmp_path / "run"]) == EXIT_OK
-    assert counts["eigh"] == 1
-    counts.update(eigh=0, svd=0)
-    assert run(["analyze", path, "--out", tmp_path / "run"]) == EXIT_OK
-    assert counts == {"eigh": 0, "svd": 3}
+
+    def counted_run(*args):
+        counts.update(eigh=0, svd=0, rigidity_matrix=0)
+        assert run([args[0], path, "--out", tmp_path / "run", *args[1:]]) == EXIT_OK
+        return dict(counts)
+
+    modes = counted_run("modes")
+    assert modes["eigh"] == 1 and modes["rigidity_matrix"] == 1
+    assert counted_run("analyze") == {"eigh": 0, "svd": 3, "rigidity_matrix": 1}
+    dichotomy = counted_run("dichotomy", "--sweep", 8, "--nonlinear", "--t-end", 2)
+    assert dichotomy["eigh"] == 1 and dichotomy["rigidity_matrix"] == 1
 
 
 def test_invariant_violation_exits_2(tmp_path, capsys):
@@ -316,6 +331,16 @@ def test_module_entry_point(tmp_path, triangle_file):
     proc = run_python("-m", "rigidkit.cli", "analyze", str(triangle_file), "--out", str(tmp_path / "run"))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "run" / "report.json").exists()
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    proc = run_python(str(demo))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_import_loads_no_scipy():

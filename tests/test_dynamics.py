@@ -6,7 +6,15 @@ import pytest
 import rigidkit as rk
 from rigidkit.dynamics import _gradient_rhs
 
-from conftest import four_cycle, no_edges, random_rigid_framework, square_with_diagonal, triangle
+from conftest import (
+    complete_k4,
+    four_cycle,
+    no_edges,
+    random_rigid_framework,
+    square_with_diagonal,
+    system_of,
+    triangle,
+)
 
 
 def spectral_settings(sys, horizon_folds=20.0):
@@ -127,6 +135,116 @@ def test_non_finite_state_reports_step():
     sys = rk.linearize(fw, 0, 2)
     with pytest.raises(rk.NumericalError, match="step"):
         rk.simulate_lti(sys, sys.B @ np.array([1.0, 0.0]), rk.SimSettings(dt=10.0, t_end=2000.0))
+    sc = recovery_scenario(sim=rk.SimSettings(dt=10.0, t_end=2000.0))
+    with pytest.raises(rk.NumericalError, match="non-finite state at step 40 "):
+        rk.sweep_impulse_angles(sc, system_of(sc), 8)
+
+
+def stepped_lti(a, y0, settings):
+    """Reference for the closed-form iterate: the method stepped on x' = A x,
+    one matrix-vector product at a time; ``y0`` may hold one state per
+    column."""
+    h = settings.dt
+    y = np.array(y0, dtype=float)
+    states = [y]
+    for _ in range(max(1, int(round(settings.t_end / h)))):
+        if settings.method == "euler":
+            y = y + h * (a @ y)
+        else:
+            k1 = a @ y
+            k2 = a @ (y + 0.5 * h * k1)
+            k3 = a @ (y + 0.5 * h * k2)
+            k4 = a @ (y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(y)
+    return np.array(states)
+
+
+def oracle_frameworks():
+    rng = np.random.default_rng(31)
+    canned = [triangle(), square_with_diagonal(), complete_k4(), four_cycle(), no_edges()]
+    drawn = [random_rigid_framework(rng, n, 2) for n in range(4, 9) for _ in range(2)]
+    ill_conditioned = random_rigid_framework(np.random.default_rng(0), 60, 2, ratio=0.0)
+    return canned + drawn + [ill_conditioned]
+
+
+ORACLE_ATOL = 1e-11
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_lti_matches_stepped_reference(method):
+    rng = np.random.default_rng(32)
+    settings = rk.SimSettings(dt=0.01, t_end=10.0, method=method)
+    for fw in oracle_frameworks():
+        sys = rk.linearize(fw, 0, fw.n - 1)
+        dp0 = rng.normal(size=sys.dim)
+        traj = rk.simulate_lti(sys, dp0, settings)
+        expected = stepped_lti(sys.A, dp0, settings)
+        assert traj.states.shape == expected.shape
+        assert np.abs(traj.states - expected).max() <= ORACLE_ATOL, (fw.n, method)
+        assert np.array_equal(traj.times, np.arange(len(expected)) * settings.dt)
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_sweep_tail_matches_stepped_reference(method):
+    rng = np.random.default_rng(33)
+    n_angles = 8
+    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    directions = np.vstack([np.cos(angles), np.sin(angles)])
+    for fw in oracle_frameworks():
+        sc = rk.Scenario(
+            framework=fw,
+            actuator=int(rng.integers(fw.n)),
+            sensor=0,
+            w0=np.array([1.0, 0.0]),
+            impulse=0.7,
+            sim=rk.SimSettings(dt=0.01, t_end=10.0, method=method),
+        )
+        sys = system_of(sc)
+        states = stepped_lti(sys.A, sys.B @ directions * sc.impulse, sc.sim)
+        k = max(1, int(round(rk.dynamics.TAIL_FRACTION * len(states))))
+        tails = states[-k:].mean(axis=0)  # (nd, N)
+        r_star = rk.rigidity_function(fw, fw.positions)
+        expected = [
+            np.abs(rk.rigidity_function(fw, fw.positions + tails[:, j]) - r_star).max(initial=0.0)
+            for j in range(n_angles)
+        ]
+        table = rk.sweep_impulse_angles(sc, sys, n_angles)
+        assert np.abs(table[:, 3] - expected).max() <= ORACLE_ATOL, (fw.n, method)
+
+
+def test_experiment_and_sweep_reject_another_system():
+    sc = recovery_scenario()
+    for other in (rk.linearize(sc.framework, 1, 2), rk.linearize(complete_k4(), 0, 2)):
+        with pytest.raises(rk.ValidationError, match="another framework or nodes"):
+            rk.shape_recovery_experiment(sc, other)
+        with pytest.raises(rk.ValidationError, match="another framework or nodes"):
+            rk.sweep_impulse_angles(sc, other, 4)
+
+
+def test_edgeless_framework_runs_every_simulation():
+    fw = no_edges(3)
+    settings = rk.SimSettings(dt=0.01, t_end=1.0)
+    bump = np.linspace(-0.3, 0.2, fw.n * fw.d)
+    nonlinear = rk.simulate_nonlinear(fw, fw.positions + bump, settings)
+    assert nonlinear.edge_errors.shape == (101, 0)
+    assert np.array_equal(nonlinear.states, np.tile(fw.positions + bump, (101, 1)))
+
+    sc = rk.Scenario(framework=fw, actuator=1, sensor=0, w0=np.array([0.6, 0.8]), sim=settings)
+    sys = system_of(sc)
+    lti = rk.simulate_lti(sys, bump, settings)
+    assert lti.edge_errors.shape == (101, 0)
+    assert np.array_equal(lti.states, np.tile(bump, (101, 1)))
+
+    with pytest.warns(UserWarning, match="flexible"):
+        out = rk.shape_recovery_experiment(sc, sys, nonlinear=True)
+    assert out.verdict == "withheld"
+    assert out.predicted_edge_sq_lengths.shape == (0,)
+    assert out.nonlinear_final_edge_errors.shape == (0,)
+    assert np.array_equal(out.steady_state, sys.B @ sc.w0)
+
+    table = rk.sweep_impulse_angles(sc, sys, 4)
+    assert np.array_equal(table[:, 3], np.zeros(4))
 
 
 def test_steady_state_examples():
@@ -184,7 +302,8 @@ def test_rbm_coefficients_rejects_other_dimensions():
 
 
 def test_recovery_branch():
-    out = rk.shape_recovery_experiment(recovery_scenario())
+    sc = recovery_scenario()
+    out = rk.shape_recovery_experiment(sc, system_of(sc))
     assert out.verdict == "recovery"
     assert abs(out.alignment) < 1e-12
     assert np.abs(out.simulated_final_edge_errors).max() < 1e-6
@@ -197,7 +316,7 @@ def test_distortion_branch_matches_prediction():
     rbm = rk.rbm_basis(fw)
     r_i = rk.block(rbm.v_r, 0, 2)
     sc = recovery_scenario(w0=r_i / np.linalg.norm(r_i))
-    out = rk.shape_recovery_experiment(sc)
+    out = rk.shape_recovery_experiment(sc, system_of(sc))
     assert out.verdict == "distortion"
     r_star = rk.rigidity_function(fw, fw.positions)
     predicted_change = out.predicted_edge_sq_lengths - r_star
@@ -212,7 +331,8 @@ def test_predicted_lengths_use_squared_rotation_gain():
     fw = square_with_diagonal()
     rbm = rk.rbm_basis(fw)
     r_i = rk.block(rbm.v_r, 0, 2)
-    out = rk.shape_recovery_experiment(recovery_scenario(w0=r_i / np.linalg.norm(r_i)))
+    sc = recovery_scenario(w0=r_i / np.linalg.norm(r_i))
+    out = rk.shape_recovery_experiment(sc, system_of(sc))
     r_star = rk.rigidity_function(fw, fw.positions)
     expected = (1.0 + out.rotation_angle**2) * r_star
     assert np.allclose(out.predicted_edge_sq_lengths, expected, rtol=1e-12)
@@ -227,13 +347,14 @@ def test_flexible_framework_withholds_verdict():
         sim=rk.SimSettings(dt=0.005, t_end=10.0),
     )
     with pytest.warns(UserWarning, match="flexible"):
-        out = rk.shape_recovery_experiment(sc)
+        out = rk.shape_recovery_experiment(sc, system_of(sc))
     assert out.verdict == "withheld"
     assert out.flex_excitation is not None and out.flex_excitation > 0
 
 
 def test_nonlinear_comparison_run():
-    out = rk.shape_recovery_experiment(recovery_scenario(), nonlinear=True)
+    sc = recovery_scenario()
+    out = rk.shape_recovery_experiment(sc, system_of(sc), nonlinear=True)
     assert out.nonlinear_trajectory is not None
     assert out.nonlinear_final_edge_errors is not None
     # the nonlinear flow also recovers shape for an orthogonal input
@@ -245,7 +366,7 @@ def test_requires_planar_framework():
     fw3 = random_rigid_framework(rng, 4, 3)
     sc = rk.Scenario(framework=fw3, actuator=0, sensor=1, w0=np.array([1.0, 0.0, 0.0]))
     with pytest.raises(rk.ValidationError, match="d=2"):
-        rk.shape_recovery_experiment(sc)
+        rk.shape_recovery_experiment(sc, system_of(sc))
 
 
 def test_controllable_plane_normal_formula():
@@ -362,7 +483,7 @@ def test_dichotomy_soundness_of_the_projection():
 
 def test_sweep_rows_and_recovery_angle():
     sc = recovery_scenario(sim=rk.SimSettings(dt=0.005, t_end=40.0))
-    table = rk.sweep_impulse_angles(sc, 8)
+    table = rk.sweep_impulse_angles(sc, system_of(sc), 8)
     assert table.shape == (8, 4)
     rbm = rk.rbm_basis(sc.framework)
     r_i = rk.block(rbm.v_r, 0, 2)
@@ -378,7 +499,7 @@ def test_sweep_rows_and_recovery_angle():
 
 def test_sweep_matches_single_experiment():
     sc = recovery_scenario()
-    table = rk.sweep_impulse_angles(sc, 4)
+    table = rk.sweep_impulse_angles(sc, system_of(sc), 4)
     aligned = rk.Scenario(
         framework=sc.framework,
         actuator=sc.actuator,
@@ -386,5 +507,5 @@ def test_sweep_matches_single_experiment():
         w0=np.array([1.0, 0.0]),
         sim=sc.sim,
     )
-    out = rk.shape_recovery_experiment(aligned)
+    out = rk.shape_recovery_experiment(aligned, system_of(aligned))
     assert abs(table[0, 3] - np.abs(out.simulated_final_edge_errors).max()) < 1e-9
