@@ -9,7 +9,6 @@ formation.
 """
 
 from .dynamics import (
-    NumericalError,
     controllable_plane,
     edge_error_series,
     rbm_coefficients,
@@ -28,7 +27,6 @@ from .framework import (
     ToleranceOverrides,
     ValidationError,
     block,
-    edge_vector,
     load_scenario,
     save_scenario,
     scenario_to_dict,
@@ -41,7 +39,6 @@ from .modes import (
     global_rotation_subspace,
     hidden_mode_checks,
     linearize,
-    local_rotation_constraints,
     local_rotation_report,
     local_rotation_subspace,
     rbm_deformation_split_report,
@@ -67,6 +64,7 @@ from .rigidity import (
 )
 from .subspaces import (
     DEFAULT_TOL,
+    NumericalError,
     Subspace,
     contains,
     direct_sum_check,

@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
-    NumericalError,
     controllable_plane,
     edge_error_series,
     shape_recovery_experiment,
@@ -41,7 +40,7 @@ from .framework import (
     save_scenario,
     scenario_to_dict,
 )
-from .jsonio import dump_json, format_float, load_json
+from .jsonio import NonFiniteError, dump_json, format_float, load_json
 from .modes import (
     classify_modes,
     elementary_rotations,
@@ -51,7 +50,7 @@ from .modes import (
     uncontrollable_subspace,
     unobservable_subspace,
 )
-from .subspaces import DEFAULT_TOL, contains
+from .subspaces import NumericalError, contains
 from .rigidity import (
     classify_rigidity,
     deformation_space,
@@ -108,13 +107,6 @@ def _write_trajectory_csv(scenario: Scenario, traj, path: Path) -> None:
         + ["V"]
     )
     _write_csv(path, header, table)
-
-
-def _effective_tols(scenario: Scenario) -> dict:
-    return {
-        "rank": scenario.tol.rank,
-        "subspace": scenario.tol.subspace if scenario.tol.subspace is not None else DEFAULT_TOL,
-    }
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -237,15 +229,13 @@ def _matrix_cols(m: np.ndarray) -> list[list[float]]:
 def cmd_analyze(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     fw = scenario.framework
-    tols = _effective_tols(scenario)
 
     def runner(out_dir: Path) -> list[str]:
-        rm = rigidity_matrix(fw)
-        rank = rigidity_rank(rm, tols["rank"])
-        classification = classify_rigidity(rm, tols["rank"])
-        flex = flex_space(rm, tols["rank"], tols["subspace"])
-        stress = self_stress_space(rm, tols["rank"], tols["subspace"])
-        deform = deformation_space(rm, tols["rank"], tols["subspace"])
+        rm = rigidity_matrix(fw, tol=scenario.tol)
+        tols = {"rank": scenario.tol.rank, "subspace": rm.subspace_tol}
+        flex = flex_space(rm)
+        stress = self_stress_space(rm)
+        deform = deformation_space(rm)
         rbm = rbm_basis(fw)
 
         save_scenario(scenario, out_dir / "scenario.json")
@@ -267,8 +257,8 @@ def cmd_analyze(args) -> int:
             {
                 "command": "analyze",
                 "scenario": scenario_to_dict(scenario),
-                "classification": classification,
-                "rank": rank,
+                "classification": classify_rigidity(rm),
+                "rank": rigidity_rank(rm),
                 "edge_count": fw.m,
                 "state_dim": fw.n * fw.d,
                 "dims": {
@@ -289,22 +279,20 @@ def cmd_analyze(args) -> int:
 
 def cmd_modes(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    fw = scenario.framework
-    tols = _effective_tols(scenario)
 
     def runner(out_dir: Path) -> list[str]:
-        sys_ = linearize(fw, scenario.actuator, scenario.sensor)
-        report = classify_modes(sys_, tols["subspace"])
-        checks = hidden_mode_checks(sys_, tols["rank"], tols["subspace"])
-        unctrl = uncontrollable_subspace(sys_, tols["subspace"])
-        unobs = unobservable_subspace(sys_, tols["subspace"])
+        sys_ = linearize(scenario.framework, scenario.actuator, scenario.sensor, scenario.tol)
+        report = classify_modes(sys_)
+        checks = hidden_mode_checks(sys_)
+        unctrl = uncontrollable_subspace(sys_)
+        unobs = unobservable_subspace(sys_)
         same_node = scenario.actuator == scenario.sensor
         save_scenario(scenario, out_dir / "scenario.json")
         dump_json(
             {
                 "command": "modes",
                 "scenario": scenario_to_dict(scenario),
-                "tolerances": tols,
+                "tolerances": {"rank": scenario.tol.rank, "subspace": sys_.rigidity.subspace_tol},
                 "uncontrollable_dim": unctrl.dim,
                 "unobservable_dim": unobs.dim,
                 "actuator_equals_sensor": same_node,
@@ -325,7 +313,7 @@ def cmd_dichotomy(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
 
     def runner(out_dir: Path) -> list[str]:
-        sys_ = linearize(scenario.framework, scenario.actuator, scenario.sensor)
+        sys_ = linearize(scenario.framework, scenario.actuator, scenario.sensor, scenario.tol)
         outcome = shape_recovery_experiment(scenario, sys_, nonlinear=args.nonlinear)
         save_scenario(scenario, out_dir / "scenario.json")
         files = ["scenario.json", "outcome.json", "trajectory.csv"]
@@ -460,7 +448,7 @@ def main(argv=None) -> int:
     except (ScenarioParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NumericalError, ValueError) as exc:
+    except (NumericalError, np.linalg.LinAlgError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -35,16 +35,14 @@ from .rigidity import (
     RbmBasis,
     classify_rigidity,
     flex_space,
-    rbm_basis,
     rigidity_function,
     rotation_2d,
 )
-from .subspaces import DEFAULT_TOL, project
+from .subspaces import NumericalError, project
 
 TAIL_FRACTION = 0.05
 
 __all__ = [
-    "NumericalError",
     "Trajectory",
     "EdgeErrorSeries",
     "ImpulseOutcome",
@@ -59,10 +57,6 @@ __all__ = [
     "edge_error_series",
     "sweep_impulse_angles",
 ]
-
-
-class NumericalError(RuntimeError):
-    """A simulation produced a non-finite state."""
 
 
 @dataclass(frozen=True)
@@ -233,16 +227,13 @@ def edge_error_series(fw: Framework, traj: Trajectory) -> EdgeErrorSeries:
     return EdgeErrorSeries(exact=exact, linearized=traj.edge_errors)
 
 
-def steady_state(
-    sys: LinearizedSystem, w0, magnitude: float = 1.0, rank_tol: float | None = None
-) -> np.ndarray:
+def steady_state(sys: LinearizedSystem, w0, magnitude: float = 1.0) -> np.ndarray:
     """Limit deviation after an impulse: projection of the initial jump onto
     the flex space."""
     w = np.asarray(w0, dtype=float).ravel()
     if w.size != sys.framework.d:
         raise ValidationError(f"w0: expected {sys.framework.d} entries, got {w.size}")
-    flex = flex_space(sys.rigidity, rank_tol)
-    return project(flex, sys.B @ w * magnitude)
+    return project(flex_space(sys.rigidity), sys.B @ w * magnitude)
 
 
 def rbm_coefficients(rbm: RbmBasis, node: int, w0) -> tuple[float, float, float]:
@@ -393,9 +384,11 @@ class ImpulseOutcome:
 def _check_planar_system(scenario: Scenario, sys: LinearizedSystem, what: str) -> None:
     if scenario.framework.d != 2:
         raise ValidationError(f"{what} requires d=2, got d={scenario.framework.d}")
-    key = (scenario.framework.content_hash(), scenario.actuator, scenario.sensor)
-    if (sys.framework.content_hash(), sys.actuator, sys.sensor) != key:
-        raise ValidationError(f"{what}: the linearized system belongs to another framework or nodes")
+    key = (scenario.framework.content_hash(), scenario.actuator, scenario.sensor, scenario.tol)
+    if (sys.framework.content_hash(), sys.actuator, sys.sensor, sys.rigidity.tol) != key:
+        raise ValidationError(
+            f"{what}: the linearized system belongs to another framework, nodes or tolerances"
+        )
 
 
 def shape_recovery_experiment(
@@ -413,11 +406,11 @@ def shape_recovery_experiment(
     """
     _check_planar_system(scenario, sys, "shape recovery experiment")
     fw = scenario.framework
-    classification = classify_rigidity(sys.rigidity, scenario.tol.rank)
+    classification = classify_rigidity(sys.rigidity)
     if classification == FLEXIBLE:
         warnings.warn("framework is flexible: the recovery/distortion verdict is withheld", stacklevel=2)
 
-    rbm = rbm_basis(fw)
+    rbm = sys.rbm
     r_i = block(rbm.v_r, scenario.actuator, 2)
     alignment = float(r_i @ scenario.w0)
 
@@ -437,19 +430,20 @@ def shape_recovery_experiment(
     # mass: the orthonormal-basis coefficient divided by the norm of the raw
     # rotation field stack(Omega (p_k - p_cm))
     centered = fw.points - rbm.center
-    rotation_angle = coeffs[2] / float(np.sqrt(np.einsum("kd,kd->", centered, centered)))
+    # a numpy float, so that its square overflows to inf instead of raising
+    rotation_angle = coeffs[2] / np.sqrt(np.einsum("kd,kd->", centered, centered))
     idx_i, idx_j = fw.edge_ends.T
     rotated = (fw.points[idx_i] - fw.points[idx_j]) @ rotation_2d().T
     predicted = r_star + rotation_angle**2 * np.einsum("kd,kd->k", rotated, rotated)
 
-    steady = steady_state(sys, scenario.w0, scenario.impulse, scenario.tol.rank)
+    steady = steady_state(sys, scenario.w0, scenario.impulse)
 
     flex_excitation = None
     if classification == FLEXIBLE:
         verdict = "withheld"
         rbm_part = rbm.matrix @ (rbm.matrix.T @ dp0)
         flex_excitation = float(np.linalg.norm(steady - rbm_part))
-    elif abs(alignment) <= (scenario.tol.subspace or DEFAULT_TOL):
+    elif abs(alignment) <= sys.rigidity.subspace_tol:
         verdict = "recovery"
     else:
         verdict = "distortion"
@@ -493,8 +487,7 @@ def sweep_impulse_angles(scenario: Scenario, sys: LinearizedSystem, n_angles: in
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     directions = np.vstack([np.cos(angles), np.sin(angles)])  # (2, N)
 
-    rbm = rbm_basis(fw)
-    r_i = block(rbm.v_r, scenario.actuator, 2)
+    r_i = block(sys.rbm.v_r, scenario.actuator, 2)
     alignments = r_i @ directions
     c_r = alignments * scenario.impulse
 

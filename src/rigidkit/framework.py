@@ -28,7 +28,6 @@ __all__ = [
     "load_scenario",
     "save_scenario",
     "scenario_to_dict",
-    "edge_vector",
     "block",
 ]
 
@@ -156,6 +155,9 @@ class SimSettings:
             raise ValidationError(f"sim.dt: step size must be positive, got {self.dt}")
         if not self.t_end > 0:
             raise ValidationError(f"sim.t_end: horizon must be positive, got {self.t_end}")
+        # beyond 2**53 steps the sample times k * dt are no longer distinct floats
+        if not self.t_end / self.dt <= 2.0**53:
+            raise ValidationError(f"sim.t_end: {self.t_end / self.dt:.6g} steps of dt, more than 2**53")
         if self.method not in ("rk4", "euler"):
             raise ValidationError(f"sim.method: expected 'rk4' or 'euler', got {self.method!r}")
 
@@ -349,12 +351,3 @@ def block(v, node: int, d: int) -> np.ndarray:
     if not (0 <= node < n):
         raise IndexError(f"block: node index {node} out of range for n={n}")
     return vec[node * d : (node + 1) * d]
-
-
-def edge_vector(fw: Framework, k: int) -> np.ndarray:
-    """Relative position p_i - p_j for edge k = (i, j) in canonical orientation."""
-    if not (0 <= k < fw.m):
-        raise IndexError(f"edge index {k} out of range for m={fw.m}")
-    i, j = fw.edges[k]
-    pts = fw.points
-    return pts[i] - pts[j]

@@ -11,10 +11,14 @@ import math
 from pathlib import Path
 
 
+class NonFiniteError(ValueError):
+    """A float to be written is NaN or infinite."""
+
+
 def format_float(value: float) -> str:
     v = float(value)
     if not math.isfinite(v):
-        raise ValueError(f"non-finite value in JSON output: {value!r}")
+        raise NonFiniteError(f"non-finite value in JSON output: {value!r}")
     return format(v, ".17g")
 
 

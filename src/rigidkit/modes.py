@@ -22,19 +22,22 @@ from functools import cached_property
 
 import numpy as np
 
-from .framework import Framework, ValidationError
+from .framework import Framework, ToleranceOverrides, ValidationError
 from .rigidity import (
     FLEXIBLE,
+    RbmBasis,
     RigidityMatrix,
     classify_rigidity,
     deformation_space,
     flex_space,
+    rbm_basis,
     rigid_motion_dim,
     rigidity_matrix,
     skew_generators,
 )
 from .subspaces import (
     DEFAULT_TOL,
+    NumericalError,
     Subspace,
     contains,
     direct_sum_check,
@@ -57,7 +60,6 @@ __all__ = [
     "global_rotation_subspace",
     "local_rotation_subspace",
     "elementary_rotations",
-    "local_rotation_constraints",
     "rbm_deformation_split_report",
     "local_rotation_report",
     "specialization_report",
@@ -71,7 +73,8 @@ class LinearizedSystem:
     """LTI model of the gradient dynamics around the reference configuration.
 
     Owns the one eigendecomposition of ``A``, which the simulations and
-    every hidden-mode report read, and the reports' pinned coefficients.
+    every hidden-mode report read, the reports' pinned coefficients and
+    the rigid-body basis. Its tolerances are those of ``rigidity``.
     """
 
     rigidity: RigidityMatrix
@@ -100,30 +103,39 @@ class LinearizedSystem:
 
     @cached_property
     def eigen_groups(self) -> tuple[tuple[float, np.ndarray], ...]:
-        """Eigenvalue groups of ``A`` (see :func:`eigenspaces`), computed once."""
+        """Eigenvalue groups of ``A`` (see :func:`eigenspaces`), computed once;
+        the zero group is the flex space at the system's rank cutoff."""
         return tuple(eigenspaces(*self.spectrum, flex_space(self.rigidity).basis))
 
-    def pinned_coeffs(self, nodes: tuple[int, ...], tol: float) -> tuple[np.ndarray, ...]:
+    @cached_property
+    def rbm(self) -> RbmBasis:
+        """Rigid-body basis of the framework (see :func:`rbm_basis`), computed once."""
+        return rbm_basis(self.framework)
+
+    def pinned_coeffs(self, nodes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
         """Per eigenvalue group, the coefficients c whose combination
-        ``basis @ c`` vanishes at every node in ``nodes``; computed once per
-        (nodes, tol)."""
-        key = (nodes, tol)
-        if key not in self._pinned:
+        ``basis @ c`` vanishes at every node in ``nodes`` (up to the subspace
+        tolerance); computed once per ``nodes``."""
+        if nodes not in self._pinned:
             d = self.framework.d
+            tol = self.rigidity.subspace_tol
             rows = np.concatenate([np.arange(k * d, (k + 1) * d) for k in nodes])
             coeffs = tuple(_pinned_coeffs(basis, rows, tol) for _, basis in self.eigen_groups)
             for c in coeffs:
                 c.setflags(write=False)
-            self._pinned[key] = coeffs
-        return self._pinned[key]
+            self._pinned[nodes] = coeffs
+        return self._pinned[nodes]
 
 
-def linearize(fw: Framework, actuator: int, sensor: int) -> LinearizedSystem:
-    """Stiffness matrix ``-R^T R`` with input/output selectors at two nodes."""
+def linearize(
+    fw: Framework, actuator: int, sensor: int, tol: ToleranceOverrides = ToleranceOverrides()
+) -> LinearizedSystem:
+    """Stiffness matrix ``-R^T R`` with input/output selectors at two nodes;
+    every report on the system uses the tolerances ``tol``."""
     for node, name in ((actuator, "actuator"), (sensor, "sensor")):
         if not (0 <= node < fw.n):
             raise ValidationError(f"{name}: node index {node} out of range for n={fw.n}")
-    rm = rigidity_matrix(fw)
+    rm = rigidity_matrix(fw, tol=tol)
     gram = rm.entries.T @ rm.entries
     a = -0.5 * (gram + gram.T)  # symmetrize so A == A.T holds exactly
     d = fw.d
@@ -183,25 +195,25 @@ def _complement_coeffs(sub: np.ndarray, r: int) -> np.ndarray:
     return u[:, rank:]
 
 
-def _pinned_pieces(sys: LinearizedSystem, node: int, tol: float) -> list[np.ndarray]:
+def _pinned_pieces(sys: LinearizedSystem, node: int) -> list[np.ndarray]:
     """Per eigenvalue group, the part of the eigenspace whose block at
     ``node`` vanishes; the pieces are mutually orthogonal."""
-    coeffs = sys.pinned_coeffs((node,), tol)
+    coeffs = sys.pinned_coeffs((node,))
     return [basis @ c for (_, basis), c in zip(sys.eigen_groups, coeffs)]
 
 
-def uncontrollable_subspace(sys: LinearizedSystem, tol: float = DEFAULT_TOL) -> Subspace:
+def uncontrollable_subspace(sys: LinearizedSystem) -> Subspace:
     """Modes that no input at the actuated node can reach.
 
     Per eigenvalue group, keeps the part of the eigenspace whose block at
     the actuator vanishes, then sums the (mutually orthogonal) pieces.
     """
-    return orthonormalize(np.hstack(_pinned_pieces(sys, sys.actuator, tol)), tol=tol)
+    return orthonormalize(np.hstack(_pinned_pieces(sys, sys.actuator)), tol=sys.rigidity.subspace_tol)
 
 
-def unobservable_subspace(sys: LinearizedSystem, tol: float = DEFAULT_TOL) -> Subspace:
+def unobservable_subspace(sys: LinearizedSystem) -> Subspace:
     """Modes invisible at the measured node; dual of the uncontrollable case."""
-    return orthonormalize(np.hstack(_pinned_pieces(sys, sys.sensor, tol)), tol=tol)
+    return orthonormalize(np.hstack(_pinned_pieces(sys, sys.sensor)), tol=sys.rigidity.subspace_tol)
 
 
 def global_rotation_subspace(fw: Framework, node: int, tol: float = DEFAULT_TOL) -> Subspace:
@@ -273,30 +285,13 @@ def elementary_rotations(fw: Framework, node: int, neighbor: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def local_rotation_constraints(fw: Framework, node: int) -> np.ndarray:
-    """Stacked constraint matrix whose nullspace is the local rotation
-    subspace: d rows pinning the node plus one row per incident edge."""
-    n, d = fw.n, fw.d
-    pts = fw.points
-    rows = [np.zeros(n * d) for _ in range(d)]
-    for a in range(d):
-        rows[a][node * d + a] = 1.0
-    for k in fw.neighbors(node):
-        row = np.zeros(n * d)
-        row[_block_rows(k, d)] = pts[k] - pts[node]
-        rows.append(row)
-    return np.vstack(rows)
-
-
 def _angles_list(s1: Subspace, s2: Subspace) -> list[float]:
     if s1.dim == 0 or s2.dim == 0:
         return []
     return [float(a) for a in principal_angles(s1, s2)]
 
 
-def rbm_deformation_split_report(
-    sys: LinearizedSystem, rank_tol: float | None = None, tol: float = DEFAULT_TOL
-) -> dict:
+def rbm_deformation_split_report(sys: LinearizedSystem) -> dict:
     """Split the uncontrollable subspace into its rigid-body and deforming
     parts, eigenspace by eigenspace.
 
@@ -307,15 +302,16 @@ def rbm_deformation_split_report(
     deformation space with the pinned ambient subspace is also reported:
     it can be strictly larger because it may mix eigenspaces.
     """
-    pieces = _pinned_pieces(sys, sys.actuator, tol)
+    tol = sys.rigidity.subspace_tol
+    pieces = _pinned_pieces(sys, sys.actuator)
     # the zero eigenspace of the negative semidefinite A is the last group
     rbm_part = orthonormalize(pieces[-1], tol=tol, ambient_dim=sys.dim)
     def_part = orthonormalize([v for p in pieces[:-1] for v in p.T], tol=tol, ambient_dim=sys.dim)
-    total = uncontrollable_subspace(sys, tol)
+    total = uncontrollable_subspace(sys)
 
     # every stacked vector whose block at the actuator vanishes
     pinned_ambient = np.delete(np.eye(sys.dim), _block_rows(sys.actuator, sys.framework.d), axis=1)
-    raw = intersect(deformation_space(sys.rigidity, rank_tol, tol), Subspace(pinned_ambient, tol))
+    raw = intersect(deformation_space(sys.rigidity), Subspace(pinned_ambient, tol))
 
     return {
         "uncontrollable_dim": total.dim,
@@ -327,15 +323,15 @@ def rbm_deformation_split_report(
     }
 
 
-def local_rotation_report(sys: LinearizedSystem, tol: float = DEFAULT_TOL) -> dict:
+def local_rotation_report(sys: LinearizedSystem) -> dict:
     """Compare the uncontrollable subspace with the local rotation subspace.
 
     Both containment directions are reported with principal angles; no
     equality is asserted, because for generic sparse frameworks the two
     need not coincide.
     """
-    u = uncontrollable_subspace(sys, tol)
-    t = local_rotation_subspace(sys.framework, sys.actuator, tol)
+    u = uncontrollable_subspace(sys)
+    t = local_rotation_subspace(sys.framework, sys.actuator, sys.rigidity.subspace_tol)
     local_contains = contains(t, u)
     reverse = contains(u, t)
     return {
@@ -348,9 +344,7 @@ def local_rotation_report(sys: LinearizedSystem, tol: float = DEFAULT_TOL) -> di
     }
 
 
-def specialization_report(
-    sys: LinearizedSystem, rank_tol: float | None = None, tol: float = DEFAULT_TOL
-) -> dict:
+def specialization_report(sys: LinearizedSystem) -> dict:
     """Specialized decompositions for rigid frameworks and complete graphs,
     about the actuated node.
 
@@ -360,15 +354,15 @@ def specialization_report(
     the local and global rotation subspaces. Verdicts are recorded, not
     asserted.
     """
-    fw, node = sys.framework, sys.actuator
-    classification = classify_rigidity(sys.rigidity, rank_tol)
+    fw, node, tol = sys.framework, sys.actuator, sys.rigidity.subspace_tol
+    classification = classify_rigidity(sys.rigidity)
     r_g = global_rotation_subspace(fw, node, tol)
     t = local_rotation_subspace(fw, node, tol)
 
     rigid: dict = {"applicable": classification != FLEXIBLE, "classification": classification}
     if rigid["applicable"]:
-        u = uncontrollable_subspace(sys, tol)
-        t_def = intersect(t, deformation_space(sys.rigidity, rank_tol, tol))
+        u = uncontrollable_subspace(sys)
+        t_def = intersect(t, deformation_space(sys.rigidity))
         overlap = 0.0
         if r_g.dim and t_def.dim:
             overlap = float(np.linalg.svd(r_g.basis.T @ t_def.basis, compute_uv=False).max())
@@ -471,22 +465,26 @@ class ModeReport:
         }
 
 
-def classify_modes(sys: LinearizedSystem, tol: float = DEFAULT_TOL) -> ModeReport:
+def classify_modes(sys: LinearizedSystem) -> ModeReport:
     """Split every eigenspace into the four controllability/observability
     categories by pinning at the actuator and sensor nodes."""
+    tol = sys.rigidity.subspace_tol
     groups = []
     for (lam, basis), nc, no, nh in zip(
         sys.eigen_groups,
-        sys.pinned_coeffs((sys.actuator,), tol),
-        sys.pinned_coeffs((sys.sensor,), tol),
-        sys.pinned_coeffs((sys.actuator, sys.sensor), tol),
+        sys.pinned_coeffs((sys.actuator,)),
+        sys.pinned_coeffs((sys.sensor,)),
+        sys.pinned_coeffs((sys.actuator, sys.sensor)),
     ):
         r = basis.shape[1]
 
         def _sub(coeffs: np.ndarray) -> Subspace:
             if coeffs.shape[1] == 0:
                 return Subspace.zero(sys.dim, tol)
-            return Subspace(basis=basis @ coeffs, tol=tol)
+            try:
+                return Subspace(basis=basis @ coeffs, tol=tol)
+            except ValueError as exc:  # eigh leaked too much of ker R into this eigenspace
+                raise NumericalError(f"eigenvalue {lam:.6g}: {exc}") from exc
 
         # complement of the doubly hidden part inside each pinned part
         beta_c = nc.T @ nh
@@ -509,18 +507,16 @@ def classify_modes(sys: LinearizedSystem, tol: float = DEFAULT_TOL) -> ModeRepor
     return ModeReport(actuator=sys.actuator, sensor=sys.sensor, groups=tuple(groups))
 
 
-def hidden_mode_checks(
-    sys: LinearizedSystem, rank_tol: float | None = None, tol: float = DEFAULT_TOL
-) -> dict:
+def hidden_mode_checks(sys: LinearizedSystem) -> dict:
     """Run every subspace-relation check for one system and collect the
     verdicts into a JSON-ready report."""
-    fw = sys.framework
-    flex = flex_space(sys.rigidity, rank_tol, tol)
-    u = uncontrollable_subspace(sys, tol)
+    fw, tol = sys.framework, sys.rigidity.subspace_tol
+    flex = flex_space(sys.rigidity)
+    u = uncontrollable_subspace(sys)
     r_g = global_rotation_subspace(fw, sys.actuator, tol)
     t = local_rotation_subspace(fw, sys.actuator, tol)
     u_rbm = intersect(u, flex)
-    classification = classify_rigidity(sys.rigidity, rank_tol)
+    classification = classify_rigidity(sys.rigidity)
     rigid = classification != FLEXIBLE
 
     bound = rigid_motion_dim(fw.d) - fw.d  # d(d+1)/2 - d = d(d-1)/2
@@ -548,7 +544,7 @@ def hidden_mode_checks(
             "local_rotation_dim": t.dim,
             "holds": contains(t, r_g),
         },
-        "uncontrollable_split": rbm_deformation_split_report(sys, rank_tol, tol),
-        "uncontrollable_vs_local_rotation": local_rotation_report(sys, tol),
-        "specializations": specialization_report(sys, rank_tol, tol),
+        "uncontrollable_split": rbm_deformation_split_report(sys),
+        "uncontrollable_vs_local_rotation": local_rotation_report(sys),
+        "specializations": specialization_report(sys),
     }

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .framework import Framework, ValidationError
+from .framework import Framework, ToleranceOverrides, ValidationError
 from .subspaces import DEFAULT_TOL, Subspace, _default_rank_tol, nullspace, orthonormalize
 
 FLEXIBLE = "flexible"
@@ -47,12 +47,15 @@ __all__ = [
 class RigidityMatrix:
     """Jacobian of the rigidity function at a configuration.
 
-    Owns the one SVD of its entries that the rank, the flex space, the
-    deformation space and the classification all read.
+    Owns the one SVD of its entries and the run's tolerances: the rank at
+    the cutoff ``tol.rank`` (scale-aware by default), which the flex space,
+    the deformation space, the classification and the zero eigenspace of
+    ``A = -R^T R`` all read, and the subspace tolerance ``subspace_tol``.
     """
 
     entries: np.ndarray  # (m, n*d)
     framework: Framework
+    tol: ToleranceOverrides = ToleranceOverrides()
 
     def __post_init__(self):
         e = np.array(self.entries, dtype=float)
@@ -70,6 +73,18 @@ class RigidityMatrix:
         for f in factors:
             f.setflags(write=False)
         return tuple(factors)
+
+    @cached_property
+    def rank(self) -> int:
+        """Number of singular values above the rank cutoff, computed once."""
+        s = self.svd[1]
+        cutoff = _default_rank_tol(s, self.shape) if self.tol.rank is None else self.tol.rank
+        return int(np.sum(s > cutoff))
+
+    @property
+    def subspace_tol(self) -> float:
+        """``tol.subspace``, or ``DEFAULT_TOL`` when the scenario sets none."""
+        return DEFAULT_TOL if self.tol.subspace is None else self.tol.subspace
 
 
 def _check_state(fw: Framework, p) -> np.ndarray:
@@ -89,8 +104,9 @@ def rigidity_function(fw: Framework, p) -> np.ndarray:
     return np.einsum("kd,kd->k", diff, diff)
 
 
-def rigidity_matrix(fw: Framework, p=None) -> RigidityMatrix:
-    """Jacobian of :func:`rigidity_function` at ``p`` (reference by default)."""
+def rigidity_matrix(fw: Framework, p=None, tol: ToleranceOverrides = ToleranceOverrides()) -> RigidityMatrix:
+    """Jacobian of :func:`rigidity_function` at ``p`` (reference by default),
+    carrying the run's tolerances ``tol``."""
     vec = fw.positions if p is None else _check_state(fw, p)
     pts = vec.reshape(fw.n, fw.d)
     i, j = fw.edge_ends[:, 0], fw.edge_ends[:, 1]
@@ -99,14 +115,12 @@ def rigidity_matrix(fw: Framework, p=None) -> RigidityMatrix:
     k = np.arange(fw.m)
     entries[k, i] = rows
     entries[k, j] = -rows
-    return RigidityMatrix(entries=entries.reshape(fw.m, fw.n * fw.d), framework=fw)
+    return RigidityMatrix(entries=entries.reshape(fw.m, fw.n * fw.d), framework=fw, tol=tol)
 
 
-def rigidity_rank(rm: RigidityMatrix, rank_tol: float | None = None) -> int:
-    """Numerical rank of the rigidity matrix."""
-    s = rm.svd[1]
-    cutoff = _default_rank_tol(s, rm.shape) if rank_tol is None else rank_tol
-    return int(np.sum(s > cutoff))
+def rigidity_rank(rm: RigidityMatrix) -> int:
+    """Numerical rank of the rigidity matrix at its rank cutoff."""
+    return rm.rank
 
 
 def rotation_2d() -> np.ndarray:
@@ -149,9 +163,6 @@ class RbmBasis:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def subspace(self, tol: float = DEFAULT_TOL) -> Subspace:
-        return Subspace(basis=self.matrix, tol=tol)
-
     def _axis(self, a: int) -> np.ndarray:
         return self.translations[:, a]
 
@@ -190,20 +201,20 @@ def rbm_basis(fw: Framework) -> RbmBasis:
     return RbmBasis(translations=translations, rotations=rot.basis, center=center)
 
 
-def flex_space(rm: RigidityMatrix, rank_tol: float | None = None, tol: float = DEFAULT_TOL) -> Subspace:
+def flex_space(rm: RigidityMatrix) -> Subspace:
     """Infinitesimal flexes: the numerical nullspace of the rigidity matrix."""
-    return Subspace(basis=rm.svd[2][rigidity_rank(rm, rank_tol) :].T, tol=tol)
+    return Subspace(basis=rm.svd[2][rm.rank :].T, tol=rm.subspace_tol)
 
 
-def self_stress_space(rm: RigidityMatrix, rank_tol: float | None = None, tol: float = DEFAULT_TOL) -> Subspace:
+def self_stress_space(rm: RigidityMatrix) -> Subspace:
     """Self-stresses: the numerical nullspace of the transposed rigidity
     matrix, from an SVD of its own (the cached U spans it in another basis)."""
-    return nullspace(rm.entries.T, rank_tol=rank_tol, tol=tol)
+    return nullspace(rm.entries.T, rank_tol=rm.tol.rank, tol=rm.subspace_tol)
 
 
-def deformation_space(rm: RigidityMatrix, rank_tol: float | None = None, tol: float = DEFAULT_TOL) -> Subspace:
+def deformation_space(rm: RigidityMatrix) -> Subspace:
     """Infinitesimal deformations: the row space of the rigidity matrix."""
-    return Subspace(basis=rm.svd[2][: rigidity_rank(rm, rank_tol)].T, tol=tol)
+    return Subspace(basis=rm.svd[2][: rm.rank].T, tol=rm.subspace_tol)
 
 
 def rigid_motion_dim(d: int) -> int:
@@ -211,7 +222,7 @@ def rigid_motion_dim(d: int) -> int:
     return d * (d + 1) // 2
 
 
-def classify_rigidity(rm: RigidityMatrix, rank_tol: float | None = None) -> str:
+def classify_rigidity(rm: RigidityMatrix) -> str:
     """Classify a framework from the numerical rank of its rigidity matrix.
 
     ``infinitesimally_rigid`` requires the flex space to contain nothing
@@ -220,8 +231,7 @@ def classify_rigidity(rm: RigidityMatrix, rank_tol: float | None = None) -> str:
     else (including degenerate small configurations) reports ``flexible``.
     """
     fw = rm.framework
-    rank = rigidity_rank(rm, rank_tol)
-    flex_dim = fw.n * fw.d - rank
+    flex_dim = fw.n * fw.d - rm.rank
     rbm_dim = rigid_motion_dim(fw.d)
     if flex_dim != rbm_dim:
         return FLEXIBLE

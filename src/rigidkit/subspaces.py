@@ -27,6 +27,7 @@ _ORTHO_CHECK = 1e-12
 
 __all__ = [
     "DEFAULT_TOL",
+    "NumericalError",
     "Subspace",
     "orthonormalize",
     "nullspace",
@@ -36,6 +37,11 @@ __all__ = [
     "contains",
     "direct_sum_check",
 ]
+
+
+class NumericalError(RuntimeError):
+    """A computation produced a non-finite value or lost the accuracy its
+    result needs."""
 
 
 @dataclass(frozen=True)

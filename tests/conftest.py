@@ -161,7 +161,7 @@ def triangle_scenario_dict(**overrides) -> dict:
 
 def system_of(sc: rk.Scenario) -> rk.LinearizedSystem:
     """The scenario's linearized system, as the CLI builds it."""
-    return rk.linearize(sc.framework, sc.actuator, sc.sensor)
+    return rk.linearize(sc.framework, sc.actuator, sc.sensor, sc.tol)
 
 
 def write_scenario(path, data: dict) -> str:

@@ -1,13 +1,20 @@
 """Command-line runner: artifacts, exit codes, determinism, --check."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, example, given, settings
+from hypothesis import strategies as st
 
 import rigidkit as rk
 from rigidkit.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
@@ -98,7 +105,8 @@ def test_malformed_field_exits_2(tmp_path, capsys, overrides, field):
 def test_decompositions_computed_once_per_run(tmp_path, monkeypatch, scenario):
     """``modes`` runs one eigh of A; ``analyze`` one SVD each of R and R^T
     and one of the rigid-body rotation generators; ``dichotomy`` with a
-    sweep and the nonlinear run builds R once and runs one eigh of A."""
+    sweep and the nonlinear run builds R once, runs one eigh of A, one SVD
+    of R and one of the rotation generators."""
     counts = {"eigh": 0, "svd": 0, "rigidity_matrix": 0}
 
     def count(owner, name, fn):
@@ -125,7 +133,7 @@ def test_decompositions_computed_once_per_run(tmp_path, monkeypatch, scenario):
     assert modes["eigh"] == 1 and modes["rigidity_matrix"] == 1
     assert counted_run("analyze") == {"eigh": 0, "svd": 3, "rigidity_matrix": 1}
     dichotomy = counted_run("dichotomy", "--sweep", 8, "--nonlinear", "--t-end", 2)
-    assert dichotomy["eigh"] == 1 and dichotomy["rigidity_matrix"] == 1
+    assert dichotomy == {"eigh": 1, "svd": 2, "rigidity_matrix": 1}
 
 
 def test_invariant_violation_exits_2(tmp_path, capsys):
@@ -320,6 +328,28 @@ def test_tolerance_flags_echoed(tmp_path, triangle_file):
     assert report["tolerances"] == {"rank": 1e-9, "subspace": 1e-7}
 
 
+def test_rank_cutoff_governs_zero_eigenspace(tmp_path):
+    """With a rank cutoff above the smallest nonzero singular value of R,
+    the zero eigenspace of A is the flex space at that cutoff, and the
+    rigid-body part of the uncontrollable split agrees with the existence
+    bound, which reads the same flex space."""
+    path = DEMO_SCENARIOS / "square_diagonal.json"
+    sc = rk.load_scenario(path)
+    r = rk.rigidity_matrix(sc.framework).entries
+    nullity = r.shape[1] - int(np.sum(np.linalg.svd(r, compute_uv=False) > 1.77))
+    assert nullity == 4
+    for flags, multiplicity in (([], 3), (["--tol-rank", 1.77], nullity)):
+        out = tmp_path / str(multiplicity)
+        assert run(["modes", path, "--out", out, *flags]) == EXIT_OK
+        modes = load_json(out / "modes.json")
+        assert modes["mode_report"]["eigenvalues"][-1]["multiplicity"] == multiplicity
+        checks = modes["checks"]
+        assert (
+            checks["uncontrollable_split"]["rbm_component_dim"]
+            == checks["existence_bound"]["uncontrollable_rbm_dim"]
+        )
+
+
 def test_env_var_output_dir(tmp_path, triangle_file, monkeypatch):
     target = tmp_path / "from_env"
     monkeypatch.setenv("RIGIDKIT_OUT", str(target))
@@ -334,6 +364,7 @@ def test_module_entry_point(tmp_path, triangle_file):
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -432,3 +463,126 @@ def test_check_accepts_perturbation_within_tolerance(tmp_path, case_file, comman
 def test_check_rejects_changes_beyond_tolerance(tmp_path, case_file, capsys, command, name, edit):
     assert record_and_check(case_file, tmp_path / "run", command, edit) == EXIT_NUMERICAL
     assert f"{name} differs" in capsys.readouterr().err
+
+
+# ------------------------------------------------- fuzzed scenario files
+
+FUZZ_BASES = {
+    "triangle": triangle_scenario_dict(),
+    "case": case_study_scenario_dict(sim={"dt": 0.02, "t_end": 10.0, "method": "rk4"}),
+    "k4_3d": triangle_scenario_dict(
+        n=4,
+        d=3,
+        edges=[[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]],
+        positions=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        w0=[1.0, 0.0, 0.0],
+    ),
+}
+FUZZ_MAX_STEPS = 2000
+FUZZ_MAX_N = 12
+# keys a scenario may carry beyond those of the bases
+OPTIONAL_PATHS = [("impulse",), ("sim", "method"), ("tol",), ("tol", "rank"), ("tol", "subspace")]
+# number fields a mutation keeps the type of, so that more cases get past the loader
+NUMBER_PATHS = [("impulse",), ("sim", "dt"), ("sim", "t_end"), ("tol", "rank"), ("tol", "subspace")]
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, FUZZ_MAX_N),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "rk4", "euler", "x"]),
+)
+numbers = st.one_of(
+    st.integers(-2, FUZZ_MAX_N),
+    st.floats(-1e3, 1e3),
+    st.floats(1e-15, 10.0),
+    st.sampled_from([0.0, 1e-12, 1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["dt", "t_end", "method", "rank", "subspace"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def paths_of(obj, prefix=()):
+    """Every key and index path inside a JSON value."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    out = []
+    for key, value in items:
+        out.append(prefix + (key,))
+        out.extend(paths_of(value, prefix + (key,)))
+    return out
+
+
+def get_path(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def mutate(data, path, value, delete):
+    """Set or delete ``path`` in ``data``; a path an earlier edit removed is skipped."""
+    with contextlib.suppress(KeyError, IndexError, TypeError):
+        parent = get_path(data, path[:-1])
+        if delete:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+
+
+def fuzz_steps_bounded(data) -> bool:
+    """False when the mutated scenario would step more than FUZZ_MAX_STEPS;
+    True when it is short or rejected before any simulation."""
+    sim = data.get("sim") if isinstance(data, dict) else None
+    sim = sim if isinstance(sim, dict) else {}
+    dt, t_end = sim.get("dt", rk.SimSettings.dt), sim.get("t_end", rk.SimSettings.t_end)
+    if type(dt) not in (int, float) or type(t_end) not in (int, float):
+        return True  # a field of the wrong type is rejected on load
+    if not (dt > 0 and t_end > 0 and t_end / dt <= 2.0**53):
+        return True  # rejected by SimSettings
+    return t_end / dt <= FUZZ_MAX_STEPS
+
+
+@st.composite
+def fuzzed_scenarios(draw):
+    data = json.loads(json.dumps(FUZZ_BASES[draw(st.sampled_from(sorted(FUZZ_BASES)))]))
+    paths = paths_of(data) + OPTIONAL_PATHS
+    floats = [p for p in paths_of(data) if type(get_path(data, p)) is float] + NUMBER_PATHS
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["number", "number", "any", "delete"]))
+        path = draw(st.sampled_from(floats if kind == "number" else paths))
+        mutate(data, path, draw(numbers if kind == "number" else json_values), kind == "delete")
+    if draw(st.integers(0, 9)) == 0:  # a document that is not a scenario object
+        data = draw(st.sampled_from([[], "", None, 1]))
+    return data
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=fuzzed_scenarios(), command=st.sampled_from(["analyze", "modes", "dichotomy"]))
+# a far agent: eigh leaks 1e-6 of ker R into the slowest deformation, which
+# is then no longer orthonormal once projected off it (exit 3)
+@example(data=case_study_scenario_dict(positions=[[0.0, 0.0], [1.0, 0.0], [323.0, 1.0], [0.0, 1.0]]), command="modes")
+@example(data=triangle_scenario_dict(sim={"dt": 0.01, "t_end": math.inf}), command="dichotomy")
+@example(data=triangle_scenario_dict(sim={"dt": 1e-3, "t_end": 1e300}), command="dichotomy")
+@example(data=triangle_scenario_dict(w0=[1e300, 0.0]), command="dichotomy")
+def test_fuzzed_scenario_exits_cleanly(data, command):
+    """A mutated scenario file ends in exit 0, 2 or 3 with at most one line
+    on stderr, never in an exception. Step counts stay at most
+    FUZZ_MAX_STEPS, so no case allocates much."""
+    assume(fuzz_steps_bounded(data))
+    extra = ["--sweep", 4, "--nonlinear"] if command == "dichotomy" else []
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        # the CLI runs with Python's default warning filters; the flexible
+        # framework notice is a warning, not a failure
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("ignore")
+            rc = run([command, path, "--out", Path(tmp) / "run", *extra])
+    event(f"exit {rc}")
+    assert rc in (EXIT_OK, EXIT_INPUT, EXIT_NUMERICAL)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (0 if rc == EXIT_OK else 1), lines

@@ -215,10 +215,15 @@ def test_sweep_tail_matches_stepped_reference(method):
 
 def test_experiment_and_sweep_reject_another_system():
     sc = recovery_scenario()
-    for other in (rk.linearize(sc.framework, 1, 2), rk.linearize(complete_k4(), 0, 2)):
-        with pytest.raises(rk.ValidationError, match="another framework or nodes"):
+    others = (
+        rk.linearize(sc.framework, 1, 2),
+        rk.linearize(complete_k4(), 0, 2),
+        rk.linearize(sc.framework, sc.actuator, sc.sensor, rk.ToleranceOverrides(subspace=1e-7)),
+    )
+    for other in others:
+        with pytest.raises(rk.ValidationError, match="another framework, nodes or tolerances"):
             rk.shape_recovery_experiment(sc, other)
-        with pytest.raises(rk.ValidationError, match="another framework or nodes"):
+        with pytest.raises(rk.ValidationError, match="another framework, nodes or tolerances"):
             rk.sweep_impulse_angles(sc, other, 4)
 
 
