@@ -40,7 +40,7 @@ from .framework import (
     save_scenario,
     scenario_to_dict,
 )
-from .jsonio import NonFiniteError, dump_json, format_float, load_json
+from .jsonio import NonFiniteError, dump_json, load_json
 from .modes import (
     classify_modes,
     elementary_rotations,
@@ -67,6 +67,8 @@ EXIT_NUMERICAL = 3
 # --check tolerances for numbers that differ from the recorded run
 CHECK_RTOL = 1e-9
 CHECK_ATOL = 1e-12
+# fields formatted per write of a CSV file
+CSV_CHUNK_CELLS = 1 << 14
 
 __all__ = ["main", "EXIT_OK", "EXIT_INPUT", "EXIT_NUMERICAL"]
 
@@ -83,13 +85,36 @@ def _coord_headers(n: int, d: int) -> list[str]:
 
 
 def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
+    """Header, then one line per row with every field in ``%.17g``.
+
+    A row whose fields after the first repeat the previous row's bit for
+    bit (a trajectory at rest, say) reuses that row's text after its own
+    first field. The text goes out in chunks of about ``CSV_CHUNK_CELLS``
+    fields, so no list or string of the whole table is built.
+    """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if not np.all(np.isfinite(rows)):
         raise NumericalError(f"non-finite value while writing {path.name}")
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    count, width = rows.shape
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        if width == 0:
+            fh.write("\n" * count)
+            return
+        rest_format = ",%.17g" * (width - 1)
+        size = 8 * (width - 1)  # bytes of a row's fields after the first
+        chunk = max(1, CSV_CHUNK_CELLS // width)
+        bits = text = None
+        for lo in range(0, count, chunk):
+            block = rows[lo : lo + chunk]
+            raw = block[:, 1:].tobytes()
+            lines = []
+            for k, first in enumerate(block[:, 0].tolist()):
+                if raw[k * size : (k + 1) * size] != bits:
+                    bits = raw[k * size : (k + 1) * size]
+                    text = rest_format % tuple(block[k, 1:].tolist())
+                lines.append("%.17g%s\n" % (first, text))
+            fh.write("".join(lines))
 
 
 def _write_trajectory_csv(scenario: Scenario, traj, path: Path) -> None:

@@ -19,6 +19,11 @@ method applied to ``x' = A x`` acts mode by mode: step k maps ``x0`` to
 method's growth factor per step at ``dt * lam`` (its stability function;
 Hairer & Wanner, Solving ODEs II, IV.2). The linearized trajectory and the
 angle sweep both read this closed-form iterate.
+
+The nonlinear flow stops stepping at the first step that returns its input
+bit for bit: the step map is a pure function of the state, so every later
+row equals that one and is copied, and the trajectory is the one a full
+stepped run gives.
 """
 
 from __future__ import annotations
@@ -130,7 +135,13 @@ def _raise_if_non_finite(rows: np.ndarray, settings: SimSettings) -> None:
 
 
 def _integrate(rhs, y0: np.ndarray, settings: SimSettings) -> np.ndarray:
-    """The one stepping loop, used by the nonlinear flow."""
+    """The one stepping loop, used by the nonlinear flow.
+
+    The step map is a pure function of the row, so once a step returns its
+    input bit for bit every later row is that row too: the loop fills them
+    and stops. The comparison is on the bytes, not the values, because
+    ``-0.0 == 0.0`` and the next step may tell them apart.
+    """
     states = np.empty((_steps(settings) + 1, y0.size))
     states[0] = y0
     step = _stepper(rhs, settings.dt, settings.method)
@@ -139,6 +150,9 @@ def _integrate(rhs, y0: np.ndarray, settings: SimSettings) -> np.ndarray:
             if not np.isfinite(states[k - 1]).all():
                 break  # the rows left unset follow the first non-finite one
             states[k] = step(states[k - 1])
+            if states[k].tobytes() == states[k - 1].tobytes():
+                states[k + 1 :] = states[k]
+                break
     _raise_if_non_finite(states, settings)
     return states
 
@@ -158,20 +172,20 @@ def _gradient_rhs(fw: Framework, r_star: np.ndarray):
     """Right-hand side of the gradient flow, assembled edge by edge.
 
     Algebraically identical to ``-R(p)^T (r(p) - r_star)``; the test suite
-    checks the two forms against each other.
+    checks the two forms against each other. One ``bincount`` adds the
+    pulls into each coordinate in edge order, first at the edges' first
+    ends, then at their second ends.
     """
     idx_i, idx_j = fw.edge_ends.T
     n, d = fw.n, fw.d
+    slots = (np.concatenate([idx_i, idx_j])[:, None] * d + np.arange(d)).ravel()
 
     def rhs(p):
         pts = p.reshape(n, d)
         diff = pts[idx_i] - pts[idx_j]
         err = np.einsum("kd,kd->k", diff, diff) - r_star
         pull = 2.0 * err[:, None] * diff
-        out = np.zeros((n, d))
-        np.add.at(out, idx_i, -pull)
-        np.add.at(out, idx_j, pull)
-        return out.ravel()
+        return np.bincount(slots, np.concatenate([-pull, pull]).ravel(), minlength=n * d)
 
     return rhs
 

@@ -54,12 +54,12 @@ def _encode(obj, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        items = [_encode(v, level + 1) for v in obj]
         if all(_is_scalar(v) or hasattr(v, "item") for v in obj):
-            flat = "[" + ", ".join(_encode(v, level + 1) for v in obj) + "]"
+            flat = "[" + ", ".join(items) + "]"
             if len(flat) <= 100:
                 return flat
-        parts = [f"{inner}{_encode(v, level + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+        return "[\n" + ",\n".join(inner + item for item in items) + f"\n{pad}]"
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 

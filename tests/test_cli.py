@@ -10,6 +10,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import rigidkit as rk
+from rigidkit import cli, jsonio
 from rigidkit.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
-from rigidkit.jsonio import load_json
+from rigidkit.jsonio import dumps_json, format_float, load_json
 
 from conftest import case_study_scenario_dict, triangle_scenario_dict, write_scenario
 
@@ -372,6 +374,118 @@ def test_demo_runs(demo):
     proc = run_python(str(demo))
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def per_cell_csv(header, rows) -> str:
+    """CSV text as the writer that ``_write_csv`` replaced made it, one
+    ``format_float`` call per field; kept as its oracle."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format_float(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def two_pass_json(obj, level: int = 0) -> str:
+    """JSON text of parsed JSON as the encoder that formatted a scalar list
+    twice made it (once flat, once one item per line); kept as the oracle
+    of ``dumps_json``'s layout."""
+    pad, inner = "  " * level, "  " * (level + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [f"{inner}{json.dumps(str(k))}: {two_pass_json(v, level + 1)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        if not any(isinstance(v, (dict, list)) for v in obj):
+            flat = "[" + ", ".join(two_pass_json(v, level + 1) for v in obj) + "]"
+            if len(flat) <= 100:
+                return flat
+        parts = [f"{inner}{two_pass_json(v, level + 1)}" for v in obj]
+        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+    return jsonio._encode(obj, level)
+
+
+CSV_FIELDS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """Tables whose rows often repeat the previous row after the first
+    field, exactly or with the sign of a zero flipped."""
+    width = draw(st.integers(1, 5))
+    fields = st.lists(CSV_FIELDS, min_size=width, max_size=width)
+    rows = [draw(fields)]
+    for _ in range(draw(st.integers(0, 11))):
+        kind = draw(st.sampled_from(["fresh", "repeat", "repeat", "flip zeros"]))
+        prev = rows[-1][1:]
+        if kind == "fresh":
+            rows.append(draw(fields))
+        elif kind == "repeat":
+            rows.append([draw(CSV_FIELDS)] + prev)
+        else:
+            rows.append([draw(CSV_FIELDS)] + [-v if v == 0.0 else v for v in prev])
+    return np.array(rows)
+
+
+def written_csv(header, rows) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        cli._write_csv(path, header, rows)
+        return path.read_text(encoding="utf-8")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(table=csv_tables(), chunk=st.sampled_from([1, 2, 3, 5, 8, cli.CSV_CHUNK_CELLS]))
+@example(table=np.array([[0.5, -0.0, 5e-324, -1e308]]), chunk=1)
+@example(table=np.array([[-0.0], [0.0], [0.0], [-0.0]]), chunk=2)
+@example(table=np.array([[0.0, -0.0], [1.0, 0.0], [2.0, 0.0], [3.0, -0.0]]), chunk=2)
+def test_csv_writer_matches_per_cell_writer(table, chunk):
+    """Byte-equal text for any table and any chunk size, so also when a
+    repeated row starts a new chunk."""
+    header = [f"c{k}" for k in range(table.shape[1])]
+    with mock.patch.object(cli, "CSV_CHUNK_CELLS", chunk):
+        assert written_csv(header, table) == per_cell_csv(header, table)
+
+
+@pytest.mark.parametrize("rows", [np.empty((0, 3)), np.array([]), np.empty((2, 0))], ids=["no rows", "empty", "no columns"])
+def test_csv_writer_matches_per_cell_writer_on_empty_tables(rows):
+    header = [f"c{k}" for k in range(np.atleast_2d(rows).shape[1])]
+    assert written_csv(header, rows) == per_cell_csv(header, rows)
+
+
+@pytest.mark.parametrize("name", ["triangle", "four_cycle", "square_diagonal"])
+def test_demo_artifacts_match_per_cell_writer_and_two_pass_json(tmp_path, name):
+    """Every CSV artifact of a demo run is the per-cell writer's text for
+    the numbers it holds, and every JSON artifact is the two-pass
+    encoder's text for its parsed content."""
+    path = DEMO_SCENARIOS / f"{name}.json"
+    out = tmp_path / "run"
+    flexible = pytest.warns(UserWarning, match="flexible") if name == "four_cycle" else contextlib.nullcontext()
+    assert run(["analyze", path, "--out", out]) == EXIT_OK
+    assert run(["modes", path, "--out", out]) == EXIT_OK
+    with flexible:
+        assert run(["dichotomy", path, "--sweep", 64, "--nonlinear", "--out", out]) == EXIT_OK
+    assert run(["plotdata", out]) == EXIT_OK
+    csvs = sorted(p.name for p in out.glob("*.csv"))
+    assert csvs == sorted(
+        ["rigidity_matrix.csv", "trajectory.csv", "trajectory_nonlinear.csv", "sweep.csv",
+         "arrows_Ri.csv", "arrows_Ti.csv", "edge_errors.csv"]
+    )
+    for csv in csvs:
+        text = (out / csv).read_text(encoding="utf-8")
+        header, *lines = text.splitlines()
+        table = np.array([line.split(",") for line in lines], dtype=float)
+        assert text == per_cell_csv(header.split(","), table), csv
+    for artifact in sorted(out.glob("*.json")):
+        text = artifact.read_text(encoding="utf-8")
+        # "-0" is a float written without a point; json reads it as the int 0
+        data = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+        assert dumps_json(data) == two_pass_json(data) + "\n" == text, artifact.name
 
 
 def test_cli_import_loads_no_scipy():

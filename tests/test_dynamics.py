@@ -1,5 +1,8 @@
 """Gradient flow, linearized simulation, impulse steady states, dichotomy."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,8 @@ from conftest import (
     system_of,
     triangle,
 )
+
+DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
 
 def spectral_settings(sys, horizon_folds=20.0):
@@ -53,6 +58,164 @@ def test_gradient_rhs_matches_matrix_form():
             rk.rigidity_function(fw, p) - r_star
         )
         assert np.allclose(rhs(p), explicit, atol=1e-12)
+
+
+def add_at_rhs(fw, r_star):
+    """The gradient-flow right-hand side as two ``np.add.at`` scatters, the
+    form that ``_gradient_rhs`` replaced; kept as its oracle."""
+    idx_i, idx_j = fw.edge_ends.T
+
+    def rhs(p):
+        pts = p.reshape(fw.n, fw.d)
+        diff = pts[idx_i] - pts[idx_j]
+        err = np.einsum("kd,kd->k", diff, diff) - r_star
+        pull = 2.0 * err[:, None] * diff
+        out = np.zeros((fw.n, fw.d))
+        np.add.at(out, idx_i, -pull)
+        np.add.at(out, idx_j, pull)
+        return out.ravel()
+
+    return rhs
+
+
+def same_bits(a, b):
+    """Equal shapes and values, and equal signs of zeros: ``np.array_equal``
+    alone takes -0.0 for 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_gradient_rhs_matches_add_at_form():
+    rng = np.random.default_rng(40)
+    frameworks = [triangle(), square_with_diagonal(), complete_k4(), four_cycle(), no_edges()]
+    frameworks += [random_rigid_framework(rng, n, d) for n in (5, 9) for d in (2, 3)]
+    for fw in frameworks:
+        r_star = rk.rigidity_function(fw, fw.positions)
+        fast, slow = _gradient_rhs(fw, r_star), add_at_rhs(fw, r_star)
+        for scale in (0.0, 1e-3, 0.3, 10.0):
+            p = fw.positions + scale * rng.normal(size=fw.positions.size)
+            assert same_bits(fast(p), slow(p)), (fw.n, fw.d, scale)
+
+
+def stepped_nonlinear(fw, p0, settings):
+    """Reference for :func:`simulate_nonlinear`: the method stepped for every
+    one of the run's steps on the ``np.add.at`` right-hand side, with no
+    early exit; rows after an overflow stay non-finite."""
+    rhs = add_at_rhs(fw, rk.rigidity_function(fw, fw.positions))
+    h = settings.dt
+    y = np.array(p0, dtype=float)
+    states = [y]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max(1, int(round(settings.t_end / h)))):
+            if settings.method == "euler":
+                y = y + h * rhs(y)
+            else:
+                k1 = rhs(y)
+                k2 = rhs(y + 0.5 * h * k1)
+                k3 = rhs(y + 0.5 * h * k2)
+                k4 = rhs(y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states.append(y)
+    return np.array(states)
+
+
+def counted_simulation(monkeypatch, fw, p0, settings):
+    """``simulate_nonlinear`` with its right-hand-side calls counted."""
+    calls = []
+    make = rk.dynamics._gradient_rhs
+
+    def counting(*args):
+        rhs = make(*args)
+        return lambda p: calls.append(1) or rhs(p)
+
+    monkeypatch.setattr(rk.dynamics, "_gradient_rhs", counting)
+    return rk.simulate_nonlinear(fw, p0, settings), len(calls)
+
+
+def assert_matches_stepped(traj, fw, p0, settings):
+    expected = stepped_nonlinear(fw, p0, settings)
+    r_star = rk.rigidity_function(fw, fw.positions)
+    errors = np.array([rk.rigidity_function(fw, row) - r_star for row in expected])
+    assert same_bits(traj.states, expected)
+    assert same_bits(traj.times, np.arange(len(expected)) * settings.dt)
+    assert same_bits(traj.edge_errors, errors)
+
+
+def demo_impulse_start(name):
+    sc = rk.load_scenario(DEMO_SCENARIOS / f"{name}.json")
+    sys = system_of(sc)
+    return sc, sc.framework.positions + sys.B @ sc.w0 * sc.impulse
+
+
+@pytest.mark.parametrize("name", ["triangle", "four_cycle", "square_diagonal"])
+def test_nonlinear_settled_run_matches_stepped_reference(monkeypatch, name):
+    """Long enough that every demo reaches an exact fixed point of the
+    step map, after which the run stops stepping and copies the row."""
+    sc, p0 = demo_impulse_start(name)
+    settings = replace(sc.sim, t_end=25.0)
+    traj, calls = counted_simulation(monkeypatch, sc.framework, p0, settings)
+    assert_matches_stepped(traj, sc.framework, p0, settings)
+    steps = len(traj.times) - 1
+    assert calls < 4 * steps
+    # the copied tail is the fixed point: the last stepped row, repeated
+    assert np.all(traj.states[calls // 4 :] == traj.states[-1])
+
+
+@pytest.mark.parametrize("name", ["triangle", "four_cycle"])
+def test_nonlinear_unsettled_run_matches_stepped_reference(monkeypatch, name):
+    """At their own horizons these demos never reach a fixed point, so
+    every step is stepped."""
+    sc, p0 = demo_impulse_start(name)
+    traj, calls = counted_simulation(monkeypatch, sc.framework, p0, sc.sim)
+    assert calls == 4 * (len(traj.times) - 1)
+    assert_matches_stepped(traj, sc.framework, p0, sc.sim)
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_nonlinear_start_at_equilibrium_is_fixed_at_once(monkeypatch, method):
+    fw = square_with_diagonal()
+    settings = rk.SimSettings(dt=0.01, t_end=5.0, method=method)
+    traj, calls = counted_simulation(monkeypatch, fw, fw.positions, settings)
+    assert calls == (4 if method == "rk4" else 1)
+    assert_matches_stepped(traj, fw, fw.positions, settings)
+
+
+def test_integrate_stops_only_at_a_bitwise_fixed_point():
+    """A step that only flips the sign of a zero compares equal to its input
+    but is no fixed point when the next step reads that sign."""
+
+    def rhs(y):
+        return np.array([0.0, 0.0 if np.signbit(y[0]) else 1.0])
+
+    settings = rk.SimSettings(dt=0.5, t_end=2.0, method="euler")
+    states = rk.dynamics._integrate(rhs, np.array([-0.0, 0.0]), settings)
+    assert np.array_equal(states[1], states[0])
+    assert same_bits(states, [[-0.0, 0.0], [0.0, 0.0], [0.0, 0.5], [0.0, 1.0], [0.0, 1.5]])
+
+
+def test_nonlinear_equilibrium_with_negative_zeros_matches_stepped_reference():
+    """A -0.0 coordinate at equilibrium turns into +0.0 in the first step,
+    as in the fully stepped reference."""
+    fw = rk.Framework.from_points([[-0.0, 0.0], [1.0, -0.0], [0.0, 1.0]], [(0, 1), (0, 2), (1, 2)])
+    settings = rk.SimSettings(dt=0.01, t_end=1.0)
+    traj = rk.simulate_nonlinear(fw, fw.positions, settings)
+    assert np.signbit(traj.states[0]).any()
+    assert not np.signbit(traj.states[1:]).any()
+    assert_matches_stepped(traj, fw, fw.positions, settings)
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_nonlinear_overflow_reports_the_stepped_reference_step(method):
+    fw = square_with_diagonal()
+    settings = rk.SimSettings(dt=10.0, t_end=100.0, method=method)
+    p0 = fw.positions + 0.1 * np.random.default_rng(41).normal(size=fw.positions.size)
+    expected = stepped_nonlinear(fw, p0, settings)
+    bad = np.flatnonzero(~np.isfinite(expected).all(axis=1))
+    assert 0 < bad[0] < len(expected) - 1
+    message = f"non-finite state at step {bad[0]} (t={bad[0] * settings.dt:.6g})"
+    with pytest.raises(rk.NumericalError) as info:
+        rk.simulate_nonlinear(fw, p0, settings)
+    assert str(info.value) == message
 
 
 def test_nonlinear_equilibrium_is_stationary():
