@@ -110,9 +110,9 @@ def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
             raw = block[:, 1:].tobytes()
             lines = []
             for k, first in enumerate(block[:, 0].tolist()):
-                if raw[k * size : (k + 1) * size] != bits:
-                    bits = raw[k * size : (k + 1) * size]
-                    text = rest_format % tuple(block[k, 1:].tolist())
+                row_bits = raw[k * size : (k + 1) * size]
+                if row_bits != bits:
+                    bits, text = row_bits, rest_format % tuple(block[k, 1:].tolist())
                 lines.append("%.17g%s\n" % (first, text))
             fh.write("".join(lines))
 

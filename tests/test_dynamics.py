@@ -193,17 +193,6 @@ def test_integrate_stops_only_at_a_bitwise_fixed_point():
     assert same_bits(states, [[-0.0, 0.0], [0.0, 0.0], [0.0, 0.5], [0.0, 1.0], [0.0, 1.5]])
 
 
-def test_nonlinear_equilibrium_with_negative_zeros_matches_stepped_reference():
-    """A -0.0 coordinate at equilibrium turns into +0.0 in the first step,
-    as in the fully stepped reference."""
-    fw = rk.Framework.from_points([[-0.0, 0.0], [1.0, -0.0], [0.0, 1.0]], [(0, 1), (0, 2), (1, 2)])
-    settings = rk.SimSettings(dt=0.01, t_end=1.0)
-    traj = rk.simulate_nonlinear(fw, fw.positions, settings)
-    assert np.signbit(traj.states[0]).any()
-    assert not np.signbit(traj.states[1:]).any()
-    assert_matches_stepped(traj, fw, fw.positions, settings)
-
-
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 def test_nonlinear_overflow_reports_the_stepped_reference_step(method):
     fw = square_with_diagonal()
