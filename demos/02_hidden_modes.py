@@ -24,8 +24,8 @@ print("stiffness spectrum:", np.linalg.eigvalsh(sys.A))
 
 # ------------------------------------------------------- pinned mode analysis
 
-unctrl = rk.uncontrollable_subspace(sys)
-unobs = rk.unobservable_subspace(sys)
+unctrl = sys.uncontrollable  # built once, cached on the system
+unobs = sys.unobservable
 print(f"\nuncontrollable dim (input at node {actuator + 1}):", unctrl.dim)
 print(f"unobservable dim (output at node {sensor + 1}):", unobs.dim)
 print("uncontrollable basis blocks (note the zero row at the actuated node):")

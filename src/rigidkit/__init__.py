@@ -39,12 +39,7 @@ from .modes import (
     global_rotation_subspace,
     hidden_mode_checks,
     linearize,
-    local_rotation_report,
     local_rotation_subspace,
-    rbm_deformation_split_report,
-    specialization_report,
-    uncontrollable_subspace,
-    unobservable_subspace,
 )
 from .rigidity import (
     FLEXIBLE,
@@ -59,7 +54,6 @@ from .rigidity import (
     rigidity_function,
     rigidity_matrix,
     rigidity_rank,
-    rotation_2d,
     self_stress_space,
 )
 from .subspaces import (

@@ -47,8 +47,6 @@ from .modes import (
     global_rotation_subspace,
     hidden_mode_checks,
     linearize,
-    uncontrollable_subspace,
-    unobservable_subspace,
 )
 from .subspaces import NumericalError, contains
 from .rigidity import (
@@ -159,7 +157,10 @@ def _update_manifest(out_dir: Path, command: str, files: list[str]) -> None:
     path = out_dir / "manifest.json"
     data = {"runs": {}}
     if path.exists():
-        loaded = load_json(path)
+        try:
+            loaded = load_json(path)
+        except ValueError:  # not JSON (or not UTF-8): replaced like a manifest of the wrong shape
+            loaded = None
         if isinstance(loaded, dict) and isinstance(loaded.get("runs"), dict):
             data = loaded
     data["runs"][command] = {"files": sorted(files)}
@@ -221,9 +222,12 @@ def _files_match(fresh: Path, existing: Path) -> bool:
     new_bytes, old_bytes = fresh.read_bytes(), existing.read_bytes()
     if new_bytes == old_bytes:
         return True
-    if fresh.suffix == ".json":
-        return _values_match(load_json(fresh), load_json(existing))
-    return _csv_match(new_bytes.decode("utf-8").splitlines(), old_bytes.decode("utf-8").splitlines())
+    try:
+        if fresh.suffix == ".json":
+            return _values_match(load_json(fresh), load_json(existing))
+        return _csv_match(new_bytes.decode("utf-8").splitlines(), old_bytes.decode("utf-8").splitlines())
+    except (ValueError, OverflowError):  # recorded text that is not JSON, not UTF-8 or not a float
+        return False
 
 
 def _run_command(args, command: str, runner) -> int:
@@ -309,8 +313,7 @@ def cmd_modes(args) -> int:
         sys_ = linearize(scenario.framework, scenario.actuator, scenario.sensor, scenario.tol)
         report = classify_modes(sys_)
         checks = hidden_mode_checks(sys_)
-        unctrl = uncontrollable_subspace(sys_)
-        unobs = unobservable_subspace(sys_)
+        unctrl, unobs = sys_.uncontrollable, sys_.unobservable
         same_node = scenario.actuator == scenario.sensor
         save_scenario(scenario, out_dir / "scenario.json")
         dump_json(
@@ -384,6 +387,17 @@ def cmd_plotdata(args) -> int:
         print(f"error: missing {trajectory_path} (run dichotomy first)", file=sys.stderr)
         return EXIT_INPUT
 
+    data = None
+    try:
+        lines = trajectory_path.read_text(encoding="utf-8").splitlines()
+        header = lines[0].split(",") if lines else []
+        if len(lines) > 1 and all(line.count(",") == len(header) - 1 for line in lines[1:]):
+            data = _parse_floats(lines[1:]).reshape(len(lines) - 1, len(header))
+    except ValueError:  # not UTF-8 text, or a field that is not a number
+        pass
+    if data is None:
+        raise ValidationError(f"{trajectory_path}: expected a header and rows of numbers, one per column")
+
     def runner(out_dir: Path) -> list[str]:
         pts = fw.points
         rotation = global_rotation_subspace(fw, scenario.actuator).basis[:, 0]
@@ -401,10 +415,7 @@ def cmd_plotdata(args) -> int:
             tau_rows.append([nbr + 1, pts[nbr, 0], pts[nbr, 1], arrow[0], arrow[1]])
         _write_csv(out_dir / "arrows_Ti.csv", ["node", "x", "y", "dx", "dy"], np.array(tau_rows))
 
-        lines = trajectory_path.read_text(encoding="utf-8").splitlines()
-        header = lines[0].split(",")
         keep = [0] + [c for c, name in enumerate(header) if name.startswith("e_")]
-        data = _parse_floats(lines[1:]).reshape(len(lines) - 1, len(header))
         _write_csv(out_dir / "edge_errors.csv", [header[c] for c in keep], data[:, keep])
 
         plane = controllable_plane(rbm_basis(fw), scenario.actuator)

@@ -41,7 +41,6 @@ from .rigidity import (
     classify_rigidity,
     flex_space,
     rigidity_function,
-    rotation_2d,
 )
 from .subspaces import NumericalError, project
 
@@ -446,9 +445,8 @@ def shape_recovery_experiment(
     centered = fw.points - rbm.center
     # a numpy float, so that its square overflows to inf instead of raising
     rotation_angle = coeffs[2] / np.sqrt(np.einsum("kd,kd->", centered, centered))
-    idx_i, idx_j = fw.edge_ends.T
-    rotated = (fw.points[idx_i] - fw.points[idx_j]) @ rotation_2d().T
-    predicted = r_star + rotation_angle**2 * np.einsum("kd,kd->k", rotated, rotated)
+    # a planar rotation keeps every edge length: |Omega e_k|^2 = |e_k|^2
+    predicted = r_star + rotation_angle**2 * r_star
 
     steady = steady_state(sys, scenario.w0, scenario.impulse)
 

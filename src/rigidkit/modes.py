@@ -55,14 +55,9 @@ __all__ = [
     "ModeReport",
     "linearize",
     "eigenspaces",
-    "uncontrollable_subspace",
-    "unobservable_subspace",
     "global_rotation_subspace",
     "local_rotation_subspace",
     "elementary_rotations",
-    "rbm_deformation_split_report",
-    "local_rotation_report",
-    "specialization_report",
     "classify_modes",
     "hidden_mode_checks",
 ]
@@ -125,6 +120,27 @@ class LinearizedSystem:
                 c.setflags(write=False)
             self._pinned[nodes] = coeffs
         return self._pinned[nodes]
+
+    def _pinned_pieces(self, node: int) -> list[np.ndarray]:
+        """Per eigenvalue group, the part of the eigenspace whose block at
+        ``node`` vanishes; the pieces are mutually orthogonal."""
+        coeffs = self.pinned_coeffs((node,))
+        return [basis @ c for (_, basis), c in zip(self.eigen_groups, coeffs)]
+
+    @cached_property
+    def uncontrollable(self) -> Subspace:
+        """Modes that no input at the actuated node can reach, computed once.
+
+        Per eigenvalue group, keeps the part of the eigenspace whose block at
+        the actuator vanishes, then sums the (mutually orthogonal) pieces.
+        """
+        return orthonormalize(np.hstack(self._pinned_pieces(self.actuator)), tol=self.rigidity.subspace_tol)
+
+    @cached_property
+    def unobservable(self) -> Subspace:
+        """Modes invisible at the measured node, computed once; dual of
+        :attr:`uncontrollable`."""
+        return orthonormalize(np.hstack(self._pinned_pieces(self.sensor)), tol=self.rigidity.subspace_tol)
 
 
 def linearize(
@@ -193,27 +209,6 @@ def _complement_coeffs(sub: np.ndarray, r: int) -> np.ndarray:
     u, s, _ = np.linalg.svd(sub, full_matrices=True)
     rank = int(np.sum(s > 1e-12))
     return u[:, rank:]
-
-
-def _pinned_pieces(sys: LinearizedSystem, node: int) -> list[np.ndarray]:
-    """Per eigenvalue group, the part of the eigenspace whose block at
-    ``node`` vanishes; the pieces are mutually orthogonal."""
-    coeffs = sys.pinned_coeffs((node,))
-    return [basis @ c for (_, basis), c in zip(sys.eigen_groups, coeffs)]
-
-
-def uncontrollable_subspace(sys: LinearizedSystem) -> Subspace:
-    """Modes that no input at the actuated node can reach.
-
-    Per eigenvalue group, keeps the part of the eigenspace whose block at
-    the actuator vanishes, then sums the (mutually orthogonal) pieces.
-    """
-    return orthonormalize(np.hstack(_pinned_pieces(sys, sys.actuator)), tol=sys.rigidity.subspace_tol)
-
-
-def unobservable_subspace(sys: LinearizedSystem) -> Subspace:
-    """Modes invisible at the measured node; dual of the uncontrollable case."""
-    return orthonormalize(np.hstack(_pinned_pieces(sys, sys.sensor)), tol=sys.rigidity.subspace_tol)
 
 
 def global_rotation_subspace(fw: Framework, node: int, tol: float = DEFAULT_TOL) -> Subspace:
@@ -291,111 +286,6 @@ def _angles_list(s1: Subspace, s2: Subspace) -> list[float]:
     return [float(a) for a in principal_angles(s1, s2)]
 
 
-def rbm_deformation_split_report(sys: LinearizedSystem) -> dict:
-    """Split the uncontrollable subspace into its rigid-body and deforming
-    parts, eigenspace by eigenspace.
-
-    The rigid-body part is the pinned portion of the zero eigenspace; the
-    deforming part sums the pinned portions of all decaying eigenspaces.
-    The two are orthogonal and together give the whole uncontrollable
-    subspace, which the report verifies. The plain set intersection of the
-    deformation space with the pinned ambient subspace is also reported:
-    it can be strictly larger because it may mix eigenspaces.
-    """
-    tol = sys.rigidity.subspace_tol
-    pieces = _pinned_pieces(sys, sys.actuator)
-    # the zero eigenspace of the negative semidefinite A is the last group
-    rbm_part = orthonormalize(pieces[-1], tol=tol, ambient_dim=sys.dim)
-    def_part = orthonormalize([v for p in pieces[:-1] for v in p.T], tol=tol, ambient_dim=sys.dim)
-    total = uncontrollable_subspace(sys)
-
-    # every stacked vector whose block at the actuator vanishes
-    pinned_ambient = np.delete(np.eye(sys.dim), _block_rows(sys.actuator, sys.framework.d), axis=1)
-    raw = intersect(deformation_space(sys.rigidity), Subspace(pinned_ambient, tol))
-
-    return {
-        "uncontrollable_dim": total.dim,
-        "rbm_component_dim": rbm_part.dim,
-        "deformation_component_dim": def_part.dim,
-        "direct_sum_holds": direct_sum_check(rbm_part, def_part, total),
-        "component_principal_angles": _angles_list(rbm_part, def_part),
-        "ambient_deformation_intersection_dim": raw.dim,
-    }
-
-
-def local_rotation_report(sys: LinearizedSystem) -> dict:
-    """Compare the uncontrollable subspace with the local rotation subspace.
-
-    Both containment directions are reported with principal angles; no
-    equality is asserted, because for generic sparse frameworks the two
-    need not coincide.
-    """
-    u = uncontrollable_subspace(sys)
-    t = local_rotation_subspace(sys.framework, sys.actuator, sys.rigidity.subspace_tol)
-    local_contains = contains(t, u)
-    reverse = contains(u, t)
-    return {
-        "uncontrollable_dim": u.dim,
-        "local_rotation_dim": t.dim,
-        "local_contains_uncontrollable": local_contains,
-        "uncontrollable_contains_local": reverse,
-        "equal": local_contains and reverse,
-        "principal_angles": _angles_list(u, t),
-    }
-
-
-def specialization_report(sys: LinearizedSystem) -> dict:
-    """Specialized decompositions for rigid frameworks and complete graphs,
-    about the actuated node.
-
-    For a rigid framework: checks whether the uncontrollable subspace
-    splits as the rotation about the node plus the deforming part of the
-    local rotation subspace. For a complete graph with n >= d+1: compares
-    the local and global rotation subspaces. Verdicts are recorded, not
-    asserted.
-    """
-    fw, node, tol = sys.framework, sys.actuator, sys.rigidity.subspace_tol
-    classification = classify_rigidity(sys.rigidity)
-    r_g = global_rotation_subspace(fw, node, tol)
-    t = local_rotation_subspace(fw, node, tol)
-
-    rigid: dict = {"applicable": classification != FLEXIBLE, "classification": classification}
-    if rigid["applicable"]:
-        u = uncontrollable_subspace(sys)
-        t_def = intersect(t, deformation_space(sys.rigidity))
-        overlap = 0.0
-        if r_g.dim and t_def.dim:
-            overlap = float(np.linalg.svd(r_g.basis.T @ t_def.basis, compute_uv=False).max())
-        rigid.update(
-            {
-                "global_rotation_dim": r_g.dim,
-                "local_deformation_dim": t_def.dim,
-                "uncontrollable_dim": u.dim,
-                "components_orthogonal": overlap <= tol,
-                "decomposition_holds": direct_sum_check(r_g, t_def, u),
-            }
-        )
-
-    complete: dict = {"applicable": fw.is_complete() and fw.n >= fw.d + 1}
-    if complete["applicable"]:
-        local_contains = contains(t, r_g)
-        reverse = contains(r_g, t)
-        complete.update(
-            {
-                "local_rotation_dim": t.dim,
-                "global_rotation_dim": r_g.dim,
-                "equal": local_contains and reverse,
-                "principal_angles": _angles_list(t, r_g),
-            }
-        )
-    else:
-        complete["reason"] = (
-            "graph is not complete" if not fw.is_complete() else f"needs n >= d+1, got n={fw.n}"
-        )
-
-    return {"rigid": rigid, "complete_graph": complete}
-
-
 @dataclass(frozen=True)
 class EigenspaceModes:
     """Four-way controllability/observability split of one eigenspace.
@@ -430,10 +320,6 @@ class ModeReport:
     actuator: int
     sensor: int
     groups: tuple[EigenspaceModes, ...]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([g.eigenvalue for g in self.groups])
 
     @property
     def four_way(self) -> dict:
@@ -507,14 +393,110 @@ def classify_modes(sys: LinearizedSystem) -> ModeReport:
     return ModeReport(actuator=sys.actuator, sensor=sys.sensor, groups=tuple(groups))
 
 
+def _split_section(sys: LinearizedSystem, u: Subspace, deform: Subspace) -> dict:
+    """Split the uncontrollable subspace ``u`` into its rigid-body and
+    deforming parts, eigenspace by eigenspace.
+
+    The rigid-body part is the pinned portion of the zero eigenspace; the
+    deforming part sums the pinned portions of all decaying eigenspaces.
+    The two are orthogonal and together give the whole uncontrollable
+    subspace, which the section verifies. The plain set intersection of the
+    deformation space ``deform`` with the pinned ambient subspace is also
+    reported: it can be strictly larger because it may mix eigenspaces.
+    """
+    tol = sys.rigidity.subspace_tol
+    pieces = sys._pinned_pieces(sys.actuator)
+    # the zero eigenspace of the negative semidefinite A is the last group
+    rbm_part = orthonormalize(pieces[-1], tol=tol, ambient_dim=sys.dim)
+    def_part = orthonormalize([v for p in pieces[:-1] for v in p.T], tol=tol, ambient_dim=sys.dim)
+
+    # every stacked vector whose block at the actuator vanishes
+    pinned_ambient = np.delete(np.eye(sys.dim), _block_rows(sys.actuator, sys.framework.d), axis=1)
+    raw = intersect(deform, Subspace(pinned_ambient, tol))
+
+    return {
+        "uncontrollable_dim": u.dim,
+        "rbm_component_dim": rbm_part.dim,
+        "deformation_component_dim": def_part.dim,
+        "direct_sum_holds": direct_sum_check(rbm_part, def_part, u),
+        "component_principal_angles": _angles_list(rbm_part, def_part),
+        "ambient_deformation_intersection_dim": raw.dim,
+    }
+
+
+def _specializations(
+    fw: Framework,
+    classification: str,
+    u: Subspace,
+    r_g: Subspace,
+    t: Subspace,
+    deform: Subspace,
+    tol: float,
+) -> dict:
+    """Specialized decompositions for rigid frameworks and complete graphs,
+    about the actuated node.
+
+    For a rigid framework: checks whether the uncontrollable subspace ``u``
+    splits as the rotation ``r_g`` about the node plus the deforming part
+    of the local rotation subspace ``t``. For a complete graph with
+    n >= d+1: compares the local and global rotation subspaces. Verdicts
+    are recorded, not asserted.
+    """
+    rigid: dict = {"applicable": classification != FLEXIBLE, "classification": classification}
+    if rigid["applicable"]:
+        t_def = intersect(t, deform)
+        overlap = 0.0
+        if r_g.dim and t_def.dim:
+            overlap = float(np.linalg.svd(r_g.basis.T @ t_def.basis, compute_uv=False).max())
+        rigid.update(
+            {
+                "global_rotation_dim": r_g.dim,
+                "local_deformation_dim": t_def.dim,
+                "uncontrollable_dim": u.dim,
+                "components_orthogonal": overlap <= tol,
+                "decomposition_holds": direct_sum_check(r_g, t_def, u),
+            }
+        )
+
+    complete: dict = {"applicable": fw.is_complete() and fw.n >= fw.d + 1}
+    if complete["applicable"]:
+        local_contains = contains(t, r_g)
+        reverse = contains(r_g, t)
+        complete.update(
+            {
+                "local_rotation_dim": t.dim,
+                "global_rotation_dim": r_g.dim,
+                "equal": local_contains and reverse,
+                "principal_angles": _angles_list(t, r_g),
+            }
+        )
+    else:
+        complete["reason"] = (
+            "graph is not complete" if not fw.is_complete() else f"needs n >= d+1, got n={fw.n}"
+        )
+
+    return {"rigid": rigid, "complete_graph": complete}
+
+
 def hidden_mode_checks(sys: LinearizedSystem) -> dict:
     """Run every subspace-relation check for one system and collect the
-    verdicts into a JSON-ready report."""
+    verdicts into a JSON-ready report.
+
+    Each object is built once and read by every section: the uncontrollable
+    subspace U (cached on ``sys``), the rotation subspace R_i and the local
+    rotation subspace T_i about the actuated node, the classification, and
+    the flex and deformation spaces. The comparison of U with T_i reports
+    both containment directions with principal angles; no equality is
+    asserted, because for generic sparse frameworks the two need not
+    coincide.
+    """
     fw, tol = sys.framework, sys.rigidity.subspace_tol
     flex = flex_space(sys.rigidity)
-    u = uncontrollable_subspace(sys)
+    deform = deformation_space(sys.rigidity)
+    u = sys.uncontrollable
     r_g = global_rotation_subspace(fw, sys.actuator, tol)
     t = local_rotation_subspace(fw, sys.actuator, tol)
+    # U ∩ ker R; the split section reaches it independently, as the pinned zero group
     u_rbm = intersect(u, flex)
     classification = classify_rigidity(sys.rigidity)
     rigid = classification != FLEXIBLE
@@ -524,6 +506,8 @@ def hidden_mode_checks(sys: LinearizedSystem) -> dict:
     char_matches = (
         u_rbm.dim == r_g.dim and (not char_angles or max(char_angles) < tol)
     )
+    local_contains = contains(t, u)
+    reverse = contains(u, t)
     return {
         "classification": classification,
         "existence_bound": {
@@ -544,7 +528,14 @@ def hidden_mode_checks(sys: LinearizedSystem) -> dict:
             "local_rotation_dim": t.dim,
             "holds": contains(t, r_g),
         },
-        "uncontrollable_split": rbm_deformation_split_report(sys),
-        "uncontrollable_vs_local_rotation": local_rotation_report(sys),
-        "specializations": specialization_report(sys),
+        "uncontrollable_split": _split_section(sys, u, deform),
+        "uncontrollable_vs_local_rotation": {
+            "uncontrollable_dim": u.dim,
+            "local_rotation_dim": t.dim,
+            "local_contains_uncontrollable": local_contains,
+            "uncontrollable_contains_local": reverse,
+            "equal": local_contains and reverse,
+            "principal_angles": _angles_list(u, t),
+        },
+        "specializations": _specializations(fw, classification, u, r_g, t, deform, tol),
     }

@@ -33,7 +33,6 @@ __all__ = [
     "rigidity_matrix",
     "rigidity_rank",
     "skew_generators",
-    "rotation_2d",
     "rbm_basis",
     "flex_space",
     "self_stress_space",
@@ -121,11 +120,6 @@ def rigidity_matrix(fw: Framework, p=None, tol: ToleranceOverrides = ToleranceOv
 def rigidity_rank(rm: RigidityMatrix) -> int:
     """Numerical rank of the rigidity matrix at its rank cutoff."""
     return rm.rank
-
-
-def rotation_2d() -> np.ndarray:
-    """The planar infinitesimal rotation (x, y) -> (-y, x)."""
-    return np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def skew_generators(d: int) -> list[np.ndarray]:

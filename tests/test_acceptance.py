@@ -79,7 +79,7 @@ def test_criterion_03_hidden_rbm_existence(rigid_frameworks_2d, rigid_frameworks
             sys = rk.linearize(fw, node, 0)
             rm = rk.rigidity_matrix(fw)
             hidden_rbm = rk.intersect(
-                rk.uncontrollable_subspace(sys), rk.flex_space(rm)
+                sys.uncontrollable, rk.flex_space(rm)
             )
             assert hidden_rbm.dim >= bound
     _ok(3, "uncontrollable rigid-body modes exist: dim >= 1 (d=2) and >= 3 (d=3)")
@@ -91,7 +91,7 @@ def test_criterion_04_rotation_characterization(rigid_frameworks_2d, rigid_frame
         node = int(rng.integers(fw.n))
         sys = rk.linearize(fw, node, 0)
         pipeline = rk.intersect(
-            rk.uncontrollable_subspace(sys), rk.flex_space(rk.rigidity_matrix(fw))
+            sys.uncontrollable, rk.flex_space(rk.rigidity_matrix(fw))
         )
         geometric = rk.global_rotation_subspace(fw, node)
         assert pipeline.dim == geometric.dim
@@ -113,7 +113,7 @@ def test_criterion_06_uncontrollable_decomposition(assorted_frameworks):
     rng = np.random.default_rng(5)
     for fw in assorted_frameworks:
         node = int(rng.integers(fw.n))
-        rep = rk.rbm_deformation_split_report(rk.linearize(fw, node, 0))
+        rep = rk.hidden_mode_checks(rk.linearize(fw, node, 0))["uncontrollable_split"]
         assert rep["direct_sum_holds"]
         assert (
             rep["rbm_component_dim"] + rep["deformation_component_dim"]

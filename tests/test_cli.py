@@ -105,11 +105,13 @@ def test_malformed_field_exits_2(tmp_path, capsys, overrides, field):
 
 @pytest.mark.parametrize("scenario", [triangle_scenario_dict, case_study_scenario_dict])
 def test_decompositions_computed_once_per_run(tmp_path, monkeypatch, scenario):
-    """``modes`` runs one eigh of A; ``analyze`` one SVD each of R and R^T
-    and one of the rigid-body rotation generators; ``dichotomy`` with a
-    sweep and the nonlinear run builds R once, runs one eigh of A, one SVD
-    of R and one of the rotation generators."""
-    counts = {"eigh": 0, "svd": 0, "rigidity_matrix": 0}
+    """``modes`` runs one eigh of A and builds R, R_i, T_i and the
+    classification once each; ``analyze`` one SVD each of R and R^T and one
+    of the rigid-body rotation generators; ``dichotomy`` with a sweep and
+    the nonlinear run builds R once, runs one eigh of A, one SVD of R and
+    one of the rotation generators."""
+    built = ("rigidity_matrix", "classify_rigidity", "global_rotation_subspace", "local_rotation_subspace")
+    counts = dict.fromkeys(("eigh", "svd", *built), 0)
 
     def count(owner, name, fn):
         def counted(*args, **kwargs):
@@ -120,22 +122,24 @@ def test_decompositions_computed_once_per_run(tmp_path, monkeypatch, scenario):
 
     for name in ("eigh", "svd"):
         count(np.linalg, name, getattr(np.linalg, name))
-    build = rk.rigidity.rigidity_matrix
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("rigidkit") and getattr(module, "rigidity_matrix", None) is build:
-            count(module, "rigidity_matrix", build)
+    for name in built:
+        fn = getattr(rk, name)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("rigidkit") and getattr(module, name, None) is fn:
+                count(module, name, fn)
     path = write_scenario(tmp_path / "s.json", scenario())
 
     def counted_run(*args):
-        counts.update(eigh=0, svd=0, rigidity_matrix=0)
+        counts.update(dict.fromkeys(counts, 0))
         assert run([args[0], path, "--out", tmp_path / "run", *args[1:]]) == EXIT_OK
         return dict(counts)
 
     modes = counted_run("modes")
-    assert modes["eigh"] == 1 and modes["rigidity_matrix"] == 1
-    assert counted_run("analyze") == {"eigh": 0, "svd": 3, "rigidity_matrix": 1}
+    assert modes["eigh"] == 1 and all(modes[name] == 1 for name in built), modes
+    no_rotations = {"classify_rigidity": 1, "global_rotation_subspace": 0, "local_rotation_subspace": 0}
+    assert counted_run("analyze") == {"eigh": 0, "svd": 3, "rigidity_matrix": 1, **no_rotations}
     dichotomy = counted_run("dichotomy", "--sweep", 8, "--nonlinear", "--t-end", 2)
-    assert dichotomy == {"eigh": 1, "svd": 2, "rigidity_matrix": 1}
+    assert dichotomy == {"eigh": 1, "svd": 2, "rigidity_matrix": 1, **no_rotations}
 
 
 def test_invariant_violation_exits_2(tmp_path, capsys):
@@ -700,3 +704,60 @@ def test_fuzzed_scenario_exits_cleanly(data, command):
     assert rc in (EXIT_OK, EXIT_INPUT, EXIT_NUMERICAL)
     lines = err.getvalue().splitlines()
     assert len(lines) == (0 if rc == EXIT_OK else 1), lines
+
+
+# ------------------------------------------------- broken run directories
+
+
+def rewrite(name, edit):
+    """Replace a recorded file's bytes by ``edit`` of them."""
+    def apply(out):
+        (out / name).write_bytes(edit((out / name).read_bytes()))
+    return apply
+
+
+def drop_last_field(name, row):
+    def apply(out):
+        lines = (out / name).read_text().splitlines()
+        lines[row] = lines[row].rsplit(",", 1)[0]
+        (out / name).write_text("\n".join(lines) + "\n")
+    return apply
+
+
+@pytest.mark.parametrize(
+    "argv, edit, code, message",
+    [
+        (["plotdata"], edit_csv("trajectory.csv", 2, 1, lambda cell: "abc"), EXIT_INPUT, "trajectory.csv"),
+        (["plotdata"], drop_last_field("trajectory.csv", 2), EXIT_INPUT, "trajectory.csv"),
+        (["plotdata"], rewrite("trajectory.csv", lambda data: b""), EXIT_INPUT, "trajectory.csv"),
+        (["modes", "--check"], rewrite("modes.json", lambda data: data[: len(data) // 2]),
+         EXIT_NUMERICAL, "modes.json differs from the recorded run"),
+        (["dichotomy", "--check"], rewrite("trajectory.csv", lambda data: b"\xff" + data),
+         EXIT_NUMERICAL, "trajectory.csv differs from the recorded run"),
+        (["modes", "--check"],
+         rewrite("modes.json", lambda data: data.replace(b'"state_dim": 8', b'"state_dim": 8' + b"0" * 400)),
+         EXIT_NUMERICAL, "modes.json differs from the recorded run"),
+        (["analyze"], rewrite("manifest.json", lambda data: b"{oops"), EXIT_OK, None),
+    ],
+    ids=["trajectory-non-numeric", "trajectory-missing-field", "trajectory-empty",
+         "check-json-unparsable", "check-csv-not-utf8", "check-json-int-beyond-float", "manifest-not-json"],
+)
+def test_broken_run_directory_exits_cleanly(tmp_path, case_file, capsys, argv, edit, code, message):
+    """A corrupted file in a run directory ends in its exit code with at
+    most one line on stderr, never in an exception; a manifest that is not
+    JSON is replaced."""
+    out = tmp_path / "run"
+    sim = SHORT_SIM["dichotomy"]  # every run records the same scenario.json
+    assert run(["dichotomy", case_file, "--out", out, *sim]) == EXIT_OK
+    assert run(["modes", case_file, "--out", out, *sim]) == EXIT_OK
+    edit(out)
+    capsys.readouterr()
+    command, *flags = argv
+    target = [out] if command == "plotdata" else [case_file, "--out", out, *sim]
+    assert run([command, *target, *flags]) == code
+    err = capsys.readouterr().err.splitlines()
+    if message is None:
+        assert err == []
+        assert list(load_json(out / "manifest.json")["runs"]) == [command]
+    else:
+        assert len(err) == 1 and message in err[0], err

@@ -20,6 +20,7 @@ from conftest import (
 )
 
 DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+OMEGA = np.array([[0.0, -1.0], [1.0, 0.0]])  # the planar infinitesimal rotation (x, y) -> (-y, x)
 
 
 def spectral_settings(sys, horizon_folds=20.0):
@@ -483,6 +484,7 @@ def test_distortion_branch_matches_prediction():
 
 
 def test_predicted_lengths_use_squared_rotation_gain():
+    # each edge rotated by the steady-state angle gains angle^2 |Omega e_k|^2;
     # planar identity: the rotated edge has the same length, so the predicted
     # squared length is (1 + angle^2) times the original
     fw = square_with_diagonal()
@@ -491,6 +493,10 @@ def test_predicted_lengths_use_squared_rotation_gain():
     sc = recovery_scenario(w0=r_i / np.linalg.norm(r_i))
     out = rk.shape_recovery_experiment(sc, system_of(sc))
     r_star = rk.rigidity_function(fw, fw.positions)
+    idx_i, idx_j = fw.edge_ends.T
+    rotated = (fw.points[idx_i] - fw.points[idx_j]) @ OMEGA.T
+    gain = out.rotation_angle**2 * np.einsum("kd,kd->k", rotated, rotated)
+    assert np.allclose(out.predicted_edge_sq_lengths, r_star + gain, rtol=1e-12)
     expected = (1.0 + out.rotation_angle**2) * r_star
     assert np.allclose(out.predicted_edge_sq_lengths, expected, rtol=1e-12)
 
@@ -577,13 +583,12 @@ def test_edge_error_series_rotational_state():
     fw = square_with_diagonal()
     angle = 0.3
     centered = fw.points - fw.points.mean(axis=0)
-    omega = rk.rotation_2d()
-    dp = angle * (centered @ omega.T).ravel()
+    dp = angle * (centered @ OMEGA.T).ravel()
     r_star = rk.rigidity_function(fw, fw.positions)
     exact = rk.rigidity_function(fw, fw.positions + dp) - r_star
     idx_i = [i for i, _ in fw.edges]
     idx_j = [j for _, j in fw.edges]
-    rotated = (fw.points[idx_i] - fw.points[idx_j]) @ omega.T
+    rotated = (fw.points[idx_i] - fw.points[idx_j]) @ OMEGA.T
     predicted = angle**2 * np.einsum("kd,kd->k", rotated, rotated)
     assert np.abs(exact - predicted).max() < 1e-12
 
@@ -633,7 +638,7 @@ def test_dichotomy_soundness_of_the_projection():
         errors = rk.rigidity_function(fw, fw.positions + steady) - r_star
         idx_i = [i for i, _ in fw.edges]
         idx_j = [j for _, j in fw.edges]
-        rotated = (fw.points[idx_i] - fw.points[idx_j]) @ rk.rotation_2d().T
+        rotated = (fw.points[idx_i] - fw.points[idx_j]) @ OMEGA.T
         predicted = angle**2 * np.einsum("kd,kd->k", rotated, rotated)
         assert np.any(errors >= 0.9 * predicted)
 

@@ -115,7 +115,7 @@ def test_zero_group_follows_rigidity_rank():
 def test_uncontrollable_triangle_is_rotation_about_actuator():
     fw = triangle()
     sys = rk.linearize(fw, 0, 1)
-    u = rk.uncontrollable_subspace(sys)
+    u = sys.uncontrollable
     assert u.dim == 1
     rot = rk.global_rotation_subspace(fw, 0)
     assert rk.principal_angles(u, rot).max() < 1e-8
@@ -130,8 +130,8 @@ def test_uncontrollable_matches_krylov_oracle():
             sensor = (node + 1) % fw.n
             sys = rk.linearize(fw, node, sensor)
             for hidden, oracle in [
-                (rk.uncontrollable_subspace(sys), krylov_hidden(sys.A, sys.B)),
-                (rk.unobservable_subspace(sys), krylov_hidden(sys.A, sys.C.T)),
+                (sys.uncontrollable, krylov_hidden(sys.A, sys.B)),
+                (sys.unobservable, krylov_hidden(sys.A, sys.C.T)),
             ]:
                 assert hidden.dim == oracle.dim
                 if hidden.dim:
@@ -141,7 +141,7 @@ def test_uncontrollable_matches_krylov_oracle():
 def test_uncontrollable_no_edges():
     fw = no_edges(3)
     sys = rk.linearize(fw, 0, 1)
-    u = rk.uncontrollable_subspace(sys)
+    u = sys.uncontrollable
     assert u.dim == fw.d * (fw.n - 1)
     for col in u.basis.T:
         assert np.linalg.norm(rk.block(col, 0, fw.d)) <= 1e-8
@@ -153,7 +153,7 @@ def test_pinning_soundness():
         fw = random_rigid_framework(rng, int(rng.integers(4, 8)), 2)
         node = int(rng.integers(fw.n))
         sys = rk.linearize(fw, node, node)
-        u = rk.uncontrollable_subspace(sys)
+        u = sys.uncontrollable
         for col in u.basis.T:
             assert np.linalg.norm(rk.block(col, node, 2)) <= 1e-8
 
@@ -161,8 +161,8 @@ def test_pinning_soundness():
 def test_unobservable_duality():
     fw = square_with_diagonal()
     sys = rk.linearize(fw, 0, 3)
-    unobs = rk.unobservable_subspace(sys)
-    swapped = rk.uncontrollable_subspace(rk.linearize(fw, 3, 0))
+    unobs = sys.unobservable
+    swapped = rk.linearize(fw, 3, 0).uncontrollable
     assert unobs.dim == swapped.dim
     assert rk.principal_angles(unobs, swapped).max() < 1e-10
 
@@ -171,7 +171,7 @@ def test_unobservable_isolated_sensor():
     pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]]
     fw = rk.Framework.from_points(pts, [(0, 1), (0, 2), (1, 2)])  # node 3 isolated
     sys = rk.linearize(fw, 0, 3)
-    unobs = rk.unobservable_subspace(sys)
+    unobs = sys.unobservable
     pinned = rk.orthonormalize(np.eye(8)[:, :6])  # everything supported off node 3
     assert unobs.dim == 6
     assert rk.contains(unobs, pinned) and rk.contains(pinned, unobs)
@@ -235,7 +235,7 @@ def test_local_rotation_blocks_orthogonal_to_edges():
 
 def test_rbm_deformation_split_triangle():
     sys = rk.linearize(triangle(), 0, 1)
-    rep = rk.rbm_deformation_split_report(sys)
+    rep = rk.hidden_mode_checks(sys)["uncontrollable_split"]
     assert rep["direct_sum_holds"]
     assert (rep["rbm_component_dim"], rep["deformation_component_dim"]) == (1, 0)
     assert rep["uncontrollable_dim"] == 1
@@ -245,7 +245,7 @@ def test_rbm_deformation_split_triangle():
 
 def test_rbm_deformation_split_flexible_cycle():
     sys = rk.linearize(four_cycle(), 0, 2)
-    rep = rk.rbm_deformation_split_report(sys)
+    rep = rk.hidden_mode_checks(sys)["uncontrollable_split"]
     assert rep["direct_sum_holds"]
     assert rep["rbm_component_dim"] + rep["deformation_component_dim"] == rep["uncontrollable_dim"]
     assert rep["rbm_component_dim"] > 1  # flex component beyond the pure rotation
@@ -256,7 +256,7 @@ def test_rbm_deformation_split_random():
     for _ in range(10):
         fw = random_rigid_framework(rng, int(rng.integers(4, 8)), 2)
         sys = rk.linearize(fw, int(rng.integers(fw.n)), 0)
-        rep = rk.rbm_deformation_split_report(sys)
+        rep = rk.hidden_mode_checks(sys)["uncontrollable_split"]
         assert rep["direct_sum_holds"]
         assert (
             rep["rbm_component_dim"] + rep["deformation_component_dim"]
@@ -266,7 +266,7 @@ def test_rbm_deformation_split_random():
 
 def test_local_rotation_report_triangle():
     sys = rk.linearize(triangle(), 0, 1)
-    rep = rk.local_rotation_report(sys)
+    rep = rk.hidden_mode_checks(sys)["uncontrollable_vs_local_rotation"]
     assert rep["uncontrollable_dim"] == 1 and rep["local_rotation_dim"] == 2
     assert rep["local_contains_uncontrollable"]
     assert not rep["uncontrollable_contains_local"]
@@ -285,7 +285,7 @@ def test_rotation_inclusion_everywhere():
 
 
 def test_specialization_report_triangle():
-    rep = rk.specialization_report(rk.linearize(triangle(), 0, 0))
+    rep = rk.hidden_mode_checks(rk.linearize(triangle(), 0, 0))["specializations"]
     assert rep["rigid"]["applicable"]
     assert rep["rigid"]["components_orthogonal"]
     assert rep["complete_graph"]["applicable"]  # K3 is complete
@@ -294,10 +294,10 @@ def test_specialization_report_triangle():
 
 
 def test_specialization_report_gating():
-    rep = rk.specialization_report(rk.linearize(square_with_diagonal(), 0, 0))
+    rep = rk.hidden_mode_checks(rk.linearize(square_with_diagonal(), 0, 0))["specializations"]
     assert not rep["complete_graph"]["applicable"]
     assert "complete" in rep["complete_graph"]["reason"]
-    flex = rk.specialization_report(rk.linearize(four_cycle(), 0, 0))
+    flex = rk.hidden_mode_checks(rk.linearize(four_cycle(), 0, 0))["specializations"]
     assert not flex["rigid"]["applicable"]
 
 
@@ -324,8 +324,8 @@ def test_classify_modes_same_node():
     report = rk.classify_modes(sys)
     assert report.four_way["uncontrollable_observable"] == 0
     assert report.four_way["controllable_unobservable"] == 0
-    unctrl = rk.uncontrollable_subspace(sys)
-    unobs = rk.unobservable_subspace(sys)
+    unctrl = sys.uncontrollable
+    unobs = sys.unobservable
     assert rk.contains(unctrl, unobs) and rk.contains(unobs, unctrl)
     assert report.four_way["uncontrollable_unobservable"] == unctrl.dim
 
