@@ -7,7 +7,8 @@ Subcommands::
     rigidkit dichotomy scenario.json   impulse experiment -> outcome.json, trajectory.csv [, sweep.csv]
     rigidkit plotdata  RUN_DIR         plot-ready files -> arrows_Ri.csv, arrows_Ti.csv, edge_errors.csv, plane.json
 
-Exit codes: 0 success, 2 input/validation problem, 3 numerical failure.
+Exit codes: 0 success, 2 input/validation problem (a path that is missing or
+is not a plain file included), 3 numerical failure.
 Output directory: --out, else the RIGIDKIT_OUT environment variable, else
 the current directory. Identical scenario and flags produce byte-identical
 outputs; every run records its files in manifest.json, and --check re-runs
@@ -17,6 +18,8 @@ the command and compares against the recorded outputs within tolerances.
 from __future__ import annotations
 
 import argparse
+import filecmp
+import itertools
 import os
 import sys
 import tempfile
@@ -40,7 +43,7 @@ from .framework import (
     save_scenario,
     scenario_to_dict,
 )
-from .jsonio import NonFiniteError, dump_json, load_json
+from .jsonio import NonFiniteError, atomic_write, dump_json, load_json
 from .modes import (
     classify_modes,
     elementary_rotations,
@@ -83,53 +86,67 @@ def _coord_headers(n: int, d: int) -> list[str]:
 
 
 def _write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
-    """Header, then one line per row with every field in ``%.17g``.
+    """Header, then one line per row with every field in ``%.17g``."""
+    _write_csv_blocks(path, header, [rows])
+
+
+def _write_csv_blocks(path: Path, header: list[str], blocks) -> None:
+    """:func:`_write_csv` of the rows of ``blocks``, 2-D arrays of one width
+    stacked in order, none of which need exist before it is written.
 
     A row whose fields after the first repeat the previous row's bit for
     bit (a trajectory at rest, say) reuses that row's text after its own
     first field. The text goes out in chunks of about ``CSV_CHUNK_CELLS``
-    fields, so no list or string of the whole table is built.
+    fields, so no list or string of the whole table is built. A
+    non-finite value raises ``NumericalError`` and leaves ``path`` as it was.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if not np.all(np.isfinite(rows)):
-        raise NumericalError(f"non-finite value while writing {path.name}")
-    count, width = rows.shape
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(",".join(header) + "\n")
-        if width == 0:
-            fh.write("\n" * count)
-            return
-        rest_format = ",%.17g" * (width - 1)
-        size = 8 * (width - 1)  # bytes of a row's fields after the first
-        chunk = max(1, CSV_CHUNK_CELLS // width)
         bits = text = None
-        for lo in range(0, count, chunk):
-            block = rows[lo : lo + chunk]
-            raw = block[:, 1:].tobytes()
-            lines = []
-            for k, first in enumerate(block[:, 0].tolist()):
-                row_bits = raw[k * size : (k + 1) * size]
-                if row_bits != bits:
-                    bits, text = row_bits, rest_format % tuple(block[k, 1:].tolist())
-                lines.append("%.17g%s\n" % (first, text))
-            fh.write("".join(lines))
+        for rows in blocks:
+            rows = np.atleast_2d(np.asarray(rows, dtype=float))
+            if not np.all(np.isfinite(rows)):
+                raise NumericalError(f"non-finite value while writing {path.name}")
+            count, width = rows.shape
+            if width == 0:
+                fh.write("\n" * count)
+                continue
+            rest_format = ",%.17g" * (width - 1)
+            size = 8 * (width - 1)  # bytes of a row's fields after the first
+            chunk = max(1, CSV_CHUNK_CELLS // width)
+            for lo in range(0, count, chunk):
+                block = rows[lo : lo + chunk]
+                raw = block[:, 1:].tobytes()
+                lines = []
+                for k, first in enumerate(block[:, 0].tolist()):
+                    row_bits = raw[k * size : (k + 1) * size]
+                    if row_bits != bits:
+                        bits, text = row_bits, rest_format % tuple(block[k, 1:].tolist())
+                    lines.append("%.17g%s\n" % (first, text))
+                fh.write("".join(lines))
 
 
 def _write_trajectory_csv(scenario: Scenario, traj, path: Path) -> None:
     """Columns t, p_1x, p_1y, ..., e_1, ..., e_m, V with absolute positions
-    and exact edge errors, for either kind of trajectory."""
+    and exact edge errors, for either kind of trajectory. The table is
+    built a block of about ``CSV_CHUNK_CELLS`` fields at a time."""
     fw = scenario.framework
-    positions = traj.states + fw.positions if traj.kind == "lti" else traj.states
     errors = edge_error_series(fw, traj).exact
     potential = 0.5 * np.einsum("tk,tk->t", errors, errors)
-    table = np.column_stack([traj.times, positions, errors, potential])
     header = (
         ["t"]
         + _coord_headers(fw.n, fw.d)
         + [f"e_{k + 1}" for k in range(fw.m)]
         + ["V"]
     )
-    _write_csv(path, header, table)
+    step = max(1, CSV_CHUNK_CELLS // len(header))
+
+    def block(lo: int) -> np.ndarray:
+        rows = slice(lo, lo + step)
+        states = traj.states[rows] + fw.positions if traj.kind == "lti" else traj.states[rows]
+        return np.column_stack([traj.times[rows], states, errors[rows], potential[rows]])
+
+    _write_csv_blocks(path, header, map(block, range(0, len(traj.times), step)))
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -197,6 +214,37 @@ def _parse_floats(lines: list[str]) -> np.ndarray:
     return np.array(",".join(lines).split(","), dtype=float)
 
 
+def _rows(fh):
+    """The lines of ``fh``, refusing a blank one (numpy's reader skips them)."""
+    for line in fh:
+        if not line.strip():
+            raise ValueError("blank line")
+        yield line
+
+
+def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
+    """Header and rows of a CSV file written by :func:`_write_csv`.
+
+    The rows go through numpy's C reader, so no Python string or float is
+    made per field. Any line that is not a full row of numbers is refused
+    with ``ValidationError``: a blank line, a missing or extra field, a field
+    ``float()`` would take but numpy's reader does not (``1_0``), or no row.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\r\n").split(",")
+            first = fh.readline()
+            if first.strip():  # one row at least, so loadtxt has data and does not warn
+                data = np.loadtxt(
+                    itertools.chain([first], _rows(fh)), delimiter=",", comments=None, ndmin=2
+                )
+                if data.shape[1] == len(header):
+                    return header, data
+    except ValueError:  # not UTF-8 text, a blank line, or a field that is not a number
+        pass
+    raise ValidationError(f"{path}: expected a header and rows of numbers, one per column")
+
+
 def _csv_match(new_lines: list[str], old_lines: list[str]) -> bool:
     """Headers and row counts must agree exactly. Rows that differ as text
     must both be numeric with the same field count, and agree within
@@ -219,9 +267,11 @@ def _csv_match(new_lines: list[str], old_lines: list[str]) -> bool:
 
 
 def _files_match(fresh: Path, existing: Path) -> bool:
-    new_bytes, old_bytes = fresh.read_bytes(), existing.read_bytes()
-    if new_bytes == old_bytes:
+    # compared in small blocks; the fresh file's path is new on every run,
+    # so filecmp's cache of earlier outcomes never answers
+    if filecmp.cmp(fresh, existing, shallow=False):
         return True
+    new_bytes, old_bytes = fresh.read_bytes(), existing.read_bytes()
     try:
         if fresh.suffix == ".json":
             return _values_match(load_json(fresh), load_json(existing))
@@ -251,10 +301,6 @@ def _run_command(args, command: str, runner) -> int:
     return EXIT_OK
 
 
-def _matrix_cols(m: np.ndarray) -> list[list[float]]:
-    return [list(col) for col in np.asarray(m).T]
-
-
 def cmd_analyze(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     fw = scenario.framework
@@ -273,11 +319,12 @@ def cmd_analyze(args) -> int:
             {
                 "ambient_dim": fw.n * fw.d,
                 "tolerances": tols,
-                "flex": _matrix_cols(flex.basis),
-                "self_stress": _matrix_cols(stress.basis),
-                "deformation": _matrix_cols(deform.basis),
-                "rbm_translations": _matrix_cols(rbm.translations),
-                "rbm_rotations": _matrix_cols(rbm.rotations),
+                # each basis as the list of its columns
+                "flex": flex.basis.T,
+                "self_stress": stress.basis.T,
+                "deformation": deform.basis.T,
+                "rbm_translations": rbm.translations.T,
+                "rbm_rotations": rbm.rotations.T,
             },
             out_dir / "subspaces.json",
         )
@@ -387,16 +434,7 @@ def cmd_plotdata(args) -> int:
         print(f"error: missing {trajectory_path} (run dichotomy first)", file=sys.stderr)
         return EXIT_INPUT
 
-    data = None
-    try:
-        lines = trajectory_path.read_text(encoding="utf-8").splitlines()
-        header = lines[0].split(",") if lines else []
-        if len(lines) > 1 and all(line.count(",") == len(header) - 1 for line in lines[1:]):
-            data = _parse_floats(lines[1:]).reshape(len(lines) - 1, len(header))
-    except ValueError:  # not UTF-8 text, or a field that is not a number
-        pass
-    if data is None:
-        raise ValidationError(f"{trajectory_path}: expected a header and rows of numbers, one per column")
+    header, data = _read_table(trajectory_path)
 
     def runner(out_dir: Path) -> list[str]:
         pts = fw.points
@@ -478,7 +516,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that is missing, or is a directory where a file belongs, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ScenarioParseError, ValidationError) as exc:

@@ -45,6 +45,8 @@ from .rigidity import (
 from .subspaces import NumericalError, project
 
 TAIL_FRACTION = 0.05
+# gathered edge-vector coordinates per block of the exact edge errors
+EDGE_BLOCK_CELLS = 1 << 15
 
 __all__ = [
     "Trajectory",
@@ -100,11 +102,23 @@ class EdgeErrorSeries:
 
 
 def _edge_errors_of_states(fw: Framework, states: np.ndarray, r_star: np.ndarray) -> np.ndarray:
-    """Exact squared-length errors for a (T, n*d) stack of configurations."""
+    """Exact squared-length errors for a (T, n*d) stack of configurations.
+
+    Works through blocks of about ``EDGE_BLOCK_CELLS`` gathered coordinates,
+    so the (T, m, d) edge vectors are never built whole. Each row's sum is
+    the one ``einsum`` makes for the whole stack, bit for bit, and the
+    result is column-major like that one's, so sums over its rows (the
+    potential, say) add in the same order too.
+    """
     idx_i, idx_j = fw.edge_ends.T
     pts = states.reshape(states.shape[0], fw.n, fw.d)
-    diff = pts[:, idx_i, :] - pts[:, idx_j, :]
-    return np.einsum("tkd,tkd->tk", diff, diff) - r_star
+    out = np.empty((states.shape[0], fw.m), order="F")
+    step = max(1, EDGE_BLOCK_CELLS // max(1, fw.m * fw.d))
+    for lo in range(0, pts.shape[0], step):
+        diff = pts[lo : lo + step, idx_i] - pts[lo : lo + step, idx_j]
+        np.einsum("tkd,tkd->tk", diff, diff, out=out[lo : lo + step])
+    out -= r_star
+    return out
 
 
 def _stepper(rhs, dt: float, method: str):

@@ -115,7 +115,7 @@ class LinearizedSystem:
             d = self.framework.d
             tol = self.rigidity.subspace_tol
             rows = np.concatenate([np.arange(k * d, (k + 1) * d) for k in nodes])
-            coeffs = tuple(_pinned_coeffs(basis, rows, tol) for _, basis in self.eigen_groups)
+            coeffs = tuple(_null_coeffs(basis[rows, :], tol) for _, basis in self.eigen_groups)
             for c in coeffs:
                 c.setflags(write=False)
             self._pinned[nodes] = coeffs
@@ -194,11 +194,12 @@ def _block_rows(node: int, d: int) -> slice:
     return slice(node * d, (node + 1) * d)
 
 
-def _pinned_coeffs(basis: np.ndarray, rows: np.ndarray, tol: float) -> np.ndarray:
-    """Coefficient vectors c with ``basis @ c`` vanishing on the given rows."""
-    _, s, vt = np.linalg.svd(basis[rows, :], full_matrices=True)
-    # directions beyond the row count have no singular value: pinned as well
-    mask = np.concatenate([s <= tol, np.ones(basis.shape[1] - s.size, dtype=bool)])
+def _null_coeffs(m: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal coefficient vectors c with ``|m @ c| <= tol``: the right
+    singular vectors of ``m`` whose singular value is at most ``tol``."""
+    _, s, vt = np.linalg.svd(m, full_matrices=True)
+    # directions beyond the row count have no singular value: in the kernel as well
+    mask = np.concatenate([s <= tol, np.ones(m.shape[1] - s.size, dtype=bool)])
     return vt[mask].T
 
 
@@ -402,7 +403,10 @@ def _split_section(sys: LinearizedSystem, u: Subspace, deform: Subspace) -> dict
     The two are orthogonal and together give the whole uncontrollable
     subspace, which the section verifies. The plain set intersection of the
     deformation space ``deform`` with the pinned ambient subspace is also
-    reported: it can be strictly larger because it may mix eigenspaces.
+    reported: it can be strictly larger because it may mix eigenspaces. A
+    unit vector ``deform.basis @ c`` lies within ``|block @ c|`` of the
+    pinned subspace, ``block`` being the basis rows at the actuator, so the
+    intersection has dimension ``deform.dim - rank(block)``.
     """
     tol = sys.rigidity.subspace_tol
     pieces = sys._pinned_pieces(sys.actuator)
@@ -410,9 +414,8 @@ def _split_section(sys: LinearizedSystem, u: Subspace, deform: Subspace) -> dict
     rbm_part = orthonormalize(pieces[-1], tol=tol, ambient_dim=sys.dim)
     def_part = orthonormalize([v for p in pieces[:-1] for v in p.T], tol=tol, ambient_dim=sys.dim)
 
-    # every stacked vector whose block at the actuator vanishes
-    pinned_ambient = np.delete(np.eye(sys.dim), _block_rows(sys.actuator, sys.framework.d), axis=1)
-    raw = intersect(deform, Subspace(pinned_ambient, tol))
+    block = deform.basis[_block_rows(sys.actuator, sys.framework.d)]
+    pinned_deform_dim = _null_coeffs(block, tol).shape[1]
 
     return {
         "uncontrollable_dim": u.dim,
@@ -420,7 +423,7 @@ def _split_section(sys: LinearizedSystem, u: Subspace, deform: Subspace) -> dict
         "deformation_component_dim": def_part.dim,
         "direct_sum_holds": direct_sum_check(rbm_part, def_part, u),
         "component_principal_angles": _angles_list(rbm_part, def_part),
-        "ambient_deformation_intersection_dim": raw.dim,
+        "ambient_deformation_intersection_dim": pinned_deform_dim,
     }
 
 
@@ -430,7 +433,7 @@ def _specializations(
     u: Subspace,
     r_g: Subspace,
     t: Subspace,
-    deform: Subspace,
+    flex: Subspace,
     tol: float,
 ) -> dict:
     """Specialized decompositions for rigid frameworks and complete graphs,
@@ -438,13 +441,15 @@ def _specializations(
 
     For a rigid framework: checks whether the uncontrollable subspace ``u``
     splits as the rotation ``r_g`` about the node plus the deforming part
-    of the local rotation subspace ``t``. For a complete graph with
-    n >= d+1: compares the local and global rotation subspaces. Verdicts
-    are recorded, not asserted.
+    of the local rotation subspace ``t``, its intersection with the
+    deformation space: the ``t.basis @ c`` with ``flex.basis.T @ t.basis @ c``
+    zero, since the deformation space is the complement of ``flex``. For a
+    complete graph with n >= d+1: compares the local and global rotation
+    subspaces. Verdicts are recorded, not asserted.
     """
     rigid: dict = {"applicable": classification != FLEXIBLE, "classification": classification}
     if rigid["applicable"]:
-        t_def = intersect(t, deform)
+        t_def = Subspace(t.basis @ _null_coeffs(flex.basis.T @ t.basis, tol), tol)
         overlap = 0.0
         if r_g.dim and t_def.dim:
             overlap = float(np.linalg.svd(r_g.basis.T @ t_def.basis, compute_uv=False).max())
@@ -537,5 +542,5 @@ def hidden_mode_checks(sys: LinearizedSystem) -> dict:
             "equal": local_contains and reverse,
             "principal_angles": _angles_list(u, t),
         },
-        "specializations": _specializations(fw, classification, u, r_g, t, deform, tol),
+        "specializations": _specializations(fw, classification, u, r_g, t, flex, tol),
     }

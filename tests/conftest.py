@@ -159,6 +159,41 @@ def triangle_scenario_dict(**overrides) -> dict:
     return data
 
 
+def lattice_scenario_dict(seed: int = 1, rows: int = 10, cols: int = 12) -> dict:
+    """Jittered triangular lattice of ``rows * cols`` agents (rigid with
+    redundancy), actuated and measured at an interior node, over a 300-step
+    horizon: the shape of the large frameworks the CLI is sized for."""
+    rng = np.random.default_rng(seed)
+    positions = [
+        [c + 0.5 * (r % 2) + 0.1 * rng.uniform(-1, 1), r * np.sqrt(3) / 2 + 0.1 * rng.uniform(-1, 1)]
+        for r in range(rows)
+        for c in range(cols)
+    ]
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            k = r * cols + c + 1
+            if c + 1 < cols:
+                edges.append([k, k + 1])
+            if r + 1 < rows:
+                edges.append([k, k + cols])
+                diagonal = c - 1 if r % 2 == 0 else c + 1
+                if 0 <= diagonal < cols:
+                    edges.append([k, (r + 1) * cols + diagonal + 1])
+    node = 2 * cols + 4
+    return {
+        "n": rows * cols,
+        "d": 2,
+        "edges": edges,
+        "positions": positions,
+        "actuator": node,
+        "sensor": node,
+        "w0": [0.6, 0.8],
+        "impulse": 0.8,
+        "sim": {"dt": 0.01, "t_end": 3.0, "method": "rk4"},
+    }
+
+
 def system_of(sc: rk.Scenario) -> rk.LinearizedSystem:
     """The scenario's linearized system, as the CLI builds it."""
     return rk.linearize(sc.framework, sc.actuator, sc.sensor, sc.tol)

@@ -8,7 +8,9 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -20,9 +22,15 @@ from hypothesis import strategies as st
 import rigidkit as rk
 from rigidkit import cli, jsonio
 from rigidkit.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
-from rigidkit.jsonio import dumps_json, format_float, load_json
+from rigidkit.jsonio import NonFiniteError, dump_json, dumps_json, format_float, load_json
 
-from conftest import case_study_scenario_dict, triangle_scenario_dict, write_scenario
+from conftest import (
+    case_study_scenario_dict,
+    lattice_scenario_dict,
+    system_of,
+    triangle_scenario_dict,
+    write_scenario,
+)
 
 
 def run(args):
@@ -492,6 +500,186 @@ def test_demo_artifacts_match_per_cell_writer_and_two_pass_json(tmp_path, name):
         assert dumps_json(data) == two_pass_json(data) + "\n" == text, artifact.name
 
 
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.text(max_size=12)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 5e-324, 1e308])
+)
+
+
+def json_payloads():
+    """Nested JSON values; a dict value may also be a 2-D float array, as
+    the subspace matrices are."""
+    arrays = st.tuples(st.integers(0, 3), st.sampled_from([0, 1, 2, 5, 33, 34, 40])).flatmap(
+        lambda shape: st.lists(CSV_FIELDS, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]).map(
+            lambda values: np.array(values, dtype=float).reshape(shape)
+        )
+    )
+    return st.recursive(
+        JSON_SCALARS | st.lists(CSV_FIELDS, max_size=40),
+        lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner | arrays, max_size=5),
+        max_leaves=30,
+    )
+
+
+def plain(obj):
+    """``obj`` with every array turned into nested lists."""
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [plain(v) for v in obj]
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(payload=json_payloads())
+@example(payload={"fits": [0.0] * 33, "too long": [0.0] * 34, "rows": np.zeros((2, 33))})
+def test_streamed_json_matches_two_pass_encoder(payload):
+    """The file ``dump_json`` streams out, and ``dumps_json``'s text, are
+    the two-pass encoder's text of the same values with arrays as lists.
+    33 one-character floats are the longest list that fits on one line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "payload.json"
+        dump_json(payload, path)
+        text = path.read_text(encoding="utf-8")
+    assert text == dumps_json(payload) == two_pass_json(plain(payload)) + "\n"
+
+
+def test_dump_json_leaves_previous_file_when_a_value_is_not_finite(tmp_path):
+    """The last float is NaN, after more text than one write buffer holds:
+    the call raises and the previous file stays byte for byte, with no
+    temporary file left behind."""
+    path = tmp_path / "subspaces.json"
+    dump_json({"flex": np.eye(3)}, path)
+    before = path.read_bytes()
+    payload = {"deformation": np.full((200, 240), 0.1), "last": [1.0, float("nan")]}
+    with pytest.raises(NonFiniteError):
+        dump_json(payload, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_csv_blocks_leave_previous_file_when_a_value_is_not_finite(tmp_path):
+    path = tmp_path / "trajectory.csv"
+    cli._write_csv(path, ["t", "x"], np.ones((2, 2)))
+    before = path.read_bytes()
+    blocks = [np.ones((5000, 2)), np.array([[1.0, np.inf]])]
+    with pytest.raises(rk.NumericalError):
+        cli._write_csv_blocks(path, ["t", "x"], iter(blocks))
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def text_parse(path: Path) -> tuple[list[str], np.ndarray]:
+    """A recorded CSV parsed as before numpy's C reader: every line split
+    into Python strings and converted by ``float``; kept as the oracle of
+    ``_read_table``."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    values = np.array(",".join(lines[1:]).split(","), dtype=float)
+    return lines[0].split(","), values.reshape(len(lines) - 1, -1)
+
+
+def assert_read_as_text_parse(path: Path) -> None:
+    header, data = cli._read_table(path)
+    want_header, want = text_parse(path)
+    assert header == want_header
+    assert data.shape == want.shape and data.tobytes() == want.tobytes(), path.name
+
+
+@pytest.fixture(scope="module")
+def lattice_run(tmp_path_factory):
+    """A dichotomy run directory of the seeded n = 120 lattice."""
+    tmp = tmp_path_factory.mktemp("lattice")
+    scenario = write_scenario(tmp / "lattice.json", lattice_scenario_dict())
+    assert run(["dichotomy", scenario, "--out", tmp / "run"]) == EXIT_OK
+    return scenario, tmp / "run"
+
+
+@pytest.mark.parametrize("name", ["triangle", "four_cycle", "square_diagonal"])
+def test_trajectory_reader_matches_text_parse_on_demo_runs(tmp_path, name):
+    out = tmp_path / "run"
+    flexible = pytest.warns(UserWarning, match="flexible") if name == "four_cycle" else contextlib.nullcontext()
+    with flexible:
+        assert run(["dichotomy", DEMO_SCENARIOS / f"{name}.json", "--nonlinear", "--out", out]) == EXIT_OK
+    for csv in ["trajectory.csv", "trajectory_nonlinear.csv"]:
+        assert_read_as_text_parse(out / csv)
+
+
+def test_trajectory_reader_matches_text_parse_on_lattice_run(lattice_run):
+    assert_read_as_text_parse(lattice_run[1] / "trajectory.csv")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(table=csv_tables())
+def test_trajectory_reader_matches_text_parse_on_written_tables(table):
+    """Bit for bit, subnormals, signed zeros and +-1e308 included."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        cli._write_csv(path, [f"c{k}" for k in range(table.shape[1])], table)
+        assert_read_as_text_parse(path)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that Python and numpy allocate while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_plotdata_memory_stays_bounded_on_large_run(lattice_run, tmp_path):
+    """Reading the 301 x 559 trajectory makes no Python object per field:
+    the whole call peaks under 6 MB (it was 19 MB with the text parse)."""
+    peak = traced_peak(lambda: run(["plotdata", lattice_run[1], "--out", tmp_path]))
+    assert (tmp_path / "edge_errors.csv").is_file()
+    assert peak < 6 * 2**20, peak
+
+
+def test_subspaces_json_streams_without_building_its_text(lattice_run, tmp_path):
+    """``dump_json`` of the n = 120 ``subspaces.json`` payload (2.4 MB of
+    text) adds under 1 MB to what the payload holds."""
+    payloads = {}
+    real = cli.dump_json
+
+    def spy(obj, path):
+        payloads[Path(path).name] = obj
+        real(obj, path)
+
+    with mock.patch.object(cli, "dump_json", spy):
+        assert run(["analyze", lattice_run[0], "--out", tmp_path / "run"]) == EXIT_OK
+    payload = payloads["subspaces.json"]
+    peak = traced_peak(lambda: dump_json(payload, tmp_path / "subspaces.json"))
+    assert (tmp_path / "subspaces.json").read_bytes() == (tmp_path / "run" / "subspaces.json").read_bytes()
+    assert peak < 2**20, peak
+
+
+def whole_trajectory_table(scenario, traj) -> np.ndarray:
+    """The trajectory table as ``_write_trajectory_csv`` built it before it
+    wrote in row blocks: all columns stacked at once. Kept as its oracle."""
+    fw = scenario.framework
+    positions = traj.states + fw.positions if traj.kind == "lti" else traj.states
+    errors = rk.edge_error_series(fw, traj).exact
+    potential = 0.5 * np.einsum("tk,tk->t", errors, errors)
+    return np.column_stack([traj.times, positions, errors, potential])
+
+
+@pytest.mark.parametrize("chunk", [1, 40, 333, cli.CSV_CHUNK_CELLS])
+def test_trajectory_csv_in_row_blocks_matches_whole_table(tmp_path, chunk):
+    """Blocks of 1, 2, 22 and 1092 rows of 15 fields over 801 rows (so a
+    last block of 1 row at 40 cells), for both kinds of trajectory."""
+    scenario = rk.load_scenario(DEMO_SCENARIOS / "square_diagonal.json")
+    scenario = replace(scenario, sim=replace(scenario.sim, dt=0.01, t_end=8.0))
+    fw = scenario.framework
+    outcome = rk.shape_recovery_experiment(scenario, system_of(scenario), nonlinear=True)
+    header = ["t"] + cli._coord_headers(fw.n, fw.d) + [f"e_{k + 1}" for k in range(fw.m)] + ["V"]
+    for traj in (outcome.trajectory, outcome.nonlinear_trajectory):
+        with mock.patch.object(cli, "CSV_CHUNK_CELLS", chunk):
+            cli._write_trajectory_csv(scenario, traj, tmp_path / "trajectory.csv")
+        text = (tmp_path / "trajectory.csv").read_text(encoding="utf-8")
+        assert text == per_cell_csv(header, whole_trajectory_table(scenario, traj)), traj.kind
+
+
 def test_cli_import_loads_no_scipy():
     code = "import sys, rigidkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = run_python("-c", code)
@@ -724,6 +912,29 @@ def drop_last_field(name, row):
     return apply
 
 
+def edit_lines(name, edit):
+    """Replace a recorded text file's lines by ``edit`` of them."""
+    def apply(out):
+        lines = (out / name).read_text().splitlines()
+        (out / name).write_text("".join(line + "\n" for line in edit(lines)))
+    return apply
+
+
+def make_directory(name):
+    """Replace the file ``name`` (relative to the run directory) by an empty directory."""
+    def apply(out):
+        (out / name).unlink()
+        (out / name).mkdir()
+    return apply
+
+
+def replace_run_directory_by_file(out):
+    for path in out.iterdir():
+        path.unlink()
+    out.rmdir()
+    out.write_text("")
+
+
 @pytest.mark.parametrize(
     "argv, edit, code, message",
     [
@@ -738,16 +949,35 @@ def drop_last_field(name, row):
          rewrite("modes.json", lambda data: data.replace(b'"state_dim": 8', b'"state_dim": 8' + b"0" * 400)),
          EXIT_NUMERICAL, "modes.json differs from the recorded run"),
         (["analyze"], rewrite("manifest.json", lambda data: b"{oops"), EXIT_OK, None),
+        # numpy's reader skips blank lines and warns on no rows; both are refused
+        (["plotdata"], edit_lines("trajectory.csv", lambda lines: lines[:3] + [""] + lines[3:]),
+         EXIT_INPUT, "trajectory.csv"),
+        (["plotdata"], edit_lines("trajectory.csv", lambda lines: lines[:1]), EXIT_INPUT, "trajectory.csv"),
+        (["plotdata"], edit_csv("trajectory.csv", 2, 1, lambda cell: "#" + cell), EXIT_INPUT, "trajectory.csv"),
+        # float() reads "1_0" as 10; the trajectory reader refuses it
+        (["plotdata"], edit_csv("trajectory.csv", 2, 0, lambda cell: "1_0"), EXIT_INPUT, "trajectory.csv"),
+        (["analyze", "--check"], make_directory("subspaces.json"), EXIT_INPUT, "{tmp}/run/subspaces.json"),
+        (["plotdata"], make_directory("trajectory.csv"), EXIT_INPUT, "{tmp}/run/trajectory.csv"),
+        (["plotdata"], make_directory("scenario.json"), EXIT_INPUT, "{tmp}/run/scenario.json"),
+        (["analyze"], make_directory("manifest.json"), EXIT_INPUT, "{tmp}/run/manifest.json"),
+        (["modes"], make_directory("../case.json"), EXIT_INPUT, "{tmp}/case.json"),
+        (["modes"], replace_run_directory_by_file, EXIT_INPUT, "{tmp}/run"),
     ],
     ids=["trajectory-non-numeric", "trajectory-missing-field", "trajectory-empty",
-         "check-json-unparsable", "check-csv-not-utf8", "check-json-int-beyond-float", "manifest-not-json"],
+         "check-json-unparsable", "check-csv-not-utf8", "check-json-int-beyond-float", "manifest-not-json",
+         "trajectory-blank-line", "trajectory-header-only", "trajectory-hash-field",
+         "trajectory-underscore-digits", "check-json-is-directory", "trajectory-is-directory",
+         "run-scenario-is-directory", "manifest-is-directory", "scenario-path-is-directory",
+         "out-is-file"],
 )
 def test_broken_run_directory_exits_cleanly(tmp_path, case_file, capsys, argv, edit, code, message):
-    """A corrupted file in a run directory ends in its exit code with at
-    most one line on stderr, never in an exception; a manifest that is not
+    """A corrupted file in a run directory, or a path that is not a plain
+    file where one belongs, ends in its exit code with at most one line on
+    stderr, naming the file, never in an exception; a manifest that is not
     JSON is replaced."""
     out = tmp_path / "run"
     sim = SHORT_SIM["dichotomy"]  # every run records the same scenario.json
+    assert run(["analyze", case_file, "--out", out, *sim]) == EXIT_OK
     assert run(["dichotomy", case_file, "--out", out, *sim]) == EXIT_OK
     assert run(["modes", case_file, "--out", out, *sim]) == EXIT_OK
     edit(out)
@@ -760,4 +990,4 @@ def test_broken_run_directory_exits_cleanly(tmp_path, case_file, capsys, argv, e
         assert err == []
         assert list(load_json(out / "manifest.json")["runs"]) == [command]
     else:
-        assert len(err) == 1 and message in err[0], err
+        assert len(err) == 1 and message.format(tmp=tmp_path) in err[0], err

@@ -1,12 +1,15 @@
 """Gradient flow, linearized simulation, impulse steady states, dichotomy."""
 
+import itertools
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import rigidkit as rk
+from rigidkit import dynamics
 from rigidkit.dynamics import _gradient_rhs
 
 from conftest import (
@@ -59,6 +62,33 @@ def test_gradient_rhs_matches_matrix_form():
             rk.rigidity_function(fw, p) - r_star
         )
         assert np.allclose(rhs(p), explicit, atol=1e-12)
+
+
+def gathered_edge_errors(fw, states, r_star):
+    """Exact edge errors from the whole (T, m, d) stack of edge vectors, the
+    form that the blocked ``_edge_errors_of_states`` replaced; kept as its
+    oracle."""
+    idx_i, idx_j = fw.edge_ends.T
+    pts = states.reshape(states.shape[0], fw.n, fw.d)
+    diff = pts[:, idx_i, :] - pts[:, idx_j, :]
+    return np.einsum("tkd,tkd->tk", diff, diff) - r_star
+
+
+@pytest.mark.parametrize("cells", [1, 7, 100, dynamics.EDGE_BLOCK_CELLS])
+def test_blocked_edge_errors_match_gathered_form_bit_for_bit(cells):
+    """Same bits and same memory order for any block size and dimension, so
+    the potential summed over each row has the same bits too."""
+    rng = np.random.default_rng(5)
+    with mock.patch.object(dynamics, "EDGE_BLOCK_CELLS", cells):
+        for d, n, steps in itertools.product([2, 3, 4, 7], [3, 6, 11], [2, 7, 300]):
+            fw = rk.Framework.from_points(rng.normal(size=(n, d)), list(itertools.combinations(range(n), 2)))
+            states = rng.normal(size=(steps, n * d)) * 10.0 ** rng.uniform(-3, 3, size=(steps, n * d))
+            r_star = rng.normal(size=fw.m)
+            want = gathered_edge_errors(fw, states, r_star)
+            got = dynamics._edge_errors_of_states(fw, states, r_star)
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides, (d, n, steps)
+            potential = np.einsum("tk,tk->t", got, got)
+            assert potential.tobytes() == np.einsum("tk,tk->t", want, want).tobytes(), (d, n, steps)
 
 
 def add_at_rhs(fw, r_star):

@@ -1,17 +1,24 @@
 """Hidden-mode geometry: pinning analysis, rotation subspaces, reports."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import rigidkit as rk
 
 from conftest import (
     complete_k4,
     four_cycle,
+    lattice_scenario_dict,
     no_edges,
     random_rigid_framework,
     square_with_diagonal,
+    system_of,
     triangle,
+    write_scenario,
 )
 
 
@@ -358,3 +365,82 @@ def test_hidden_mode_checks_complete_on_examples():
         if checks["classification"] != rk.FLEXIBLE:
             assert checks["existence_bound"]["holds"]
             assert checks["rotation_characterization"]["matches"]
+
+
+# ------------------------------------------- node-block forms vs intersections
+
+
+def intersection_verdicts(sys) -> dict:
+    """The verdicts that the node-block forms replaced, made as before from
+    ambient intersections: the deformation space with every vector pinned
+    at the actuator, and the local rotation subspace with the deformation
+    space. Kept as their oracle."""
+    fw, tol, node = sys.framework, sys.rigidity.subspace_tol, sys.actuator
+    deform = rk.deformation_space(sys.rigidity)
+    pinned = np.delete(np.eye(sys.dim), slice(node * fw.d, (node + 1) * fw.d), axis=1)
+    verdicts = {"ambient_deformation_intersection_dim": rk.intersect(deform, rk.Subspace(pinned, tol)).dim}
+    if rk.classify_rigidity(sys.rigidity) != rk.FLEXIBLE:
+        r_g = rk.global_rotation_subspace(fw, node, tol)
+        t_def = rk.intersect(rk.local_rotation_subspace(fw, node, tol), deform)
+        overlap = 0.0
+        if r_g.dim and t_def.dim:
+            overlap = float(np.linalg.svd(r_g.basis.T @ t_def.basis, compute_uv=False).max())
+        verdicts.update(
+            local_deformation_dim=t_def.dim,
+            components_orthogonal=overlap <= tol,
+            decomposition_holds=rk.direct_sum_check(r_g, t_def, sys.uncontrollable),
+        )
+    return verdicts
+
+
+def node_block_verdicts(sys) -> dict:
+    checks = rk.hidden_mode_checks(sys)
+    verdicts = {
+        "ambient_deformation_intersection_dim": checks["uncontrollable_split"]["ambient_deformation_intersection_dim"]
+    }
+    rigid = checks["specializations"]["rigid"]
+    if rigid["applicable"]:
+        verdicts.update({k: rigid[k] for k in ["local_deformation_dim", "components_orthogonal", "decomposition_holds"]})
+    return verdicts
+
+
+@st.composite
+def frameworks_with_node(draw):
+    """A random minimally rigid framework in 2-D or 3-D, kept as it is, with
+    extra edges (redundant) or with edges removed (flexible), and a node."""
+    d = draw(st.sampled_from([2, 2, 3]))
+    n = draw(st.integers(d + 1, 8))
+    fw = random_rigid_framework(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, d)
+    edges = list(fw.edges)
+    kind = draw(st.sampled_from(["minimal", "redundant", "flexible"]))
+    if kind == "redundant":
+        missing = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
+        if missing:
+            edges += draw(st.lists(st.sampled_from(missing), min_size=1, max_size=3, unique=True))
+    elif kind == "flexible":
+        drop = draw(st.lists(st.integers(0, len(edges) - 1), min_size=1, max_size=3, unique=True))
+        edges = [e for k, e in enumerate(edges) if k not in drop]
+    event(kind)
+    return rk.Framework.from_points(fw.points, edges), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=frameworks_with_node())
+def test_node_block_forms_match_intersections(case):
+    fw, node = case
+    sys = rk.linearize(fw, node, 0)
+    assert node_block_verdicts(sys) == intersection_verdicts(sys)
+
+
+@pytest.mark.parametrize("name", ["triangle", "four_cycle", "square_diagonal"])
+def test_node_block_forms_match_intersections_on_demos(name):
+    scenario = rk.load_scenario(Path(__file__).resolve().parents[1] / "demos" / "scenarios" / f"{name}.json")
+    for node in range(scenario.framework.n):
+        sys = rk.linearize(scenario.framework, node, scenario.sensor, scenario.tol)
+        assert node_block_verdicts(sys) == intersection_verdicts(sys)
+
+
+def test_node_block_forms_match_intersections_on_lattice(tmp_path):
+    scenario = rk.load_scenario(write_scenario(tmp_path / "lattice.json", lattice_scenario_dict()))
+    sys = system_of(scenario)
+    assert node_block_verdicts(sys) == intersection_verdicts(sys)
