@@ -38,6 +38,7 @@ from .framework import (
     Scenario,
     ScenarioParseError,
     ValidationError,
+    _is_number,
     block,
     load_scenario,
     save_scenario,
@@ -185,10 +186,6 @@ def _update_manifest(out_dir: Path, command: str, files: list[str]) -> None:
     dump_json(ordered, path)
 
 
-def _is_number(x) -> bool:
-    return type(x) in (int, float)  # bools and strings are compared exactly
-
-
 def _close(a, b) -> bool:
     return bool(np.allclose(a, b, rtol=CHECK_RTOL, atol=CHECK_ATOL))
 
@@ -209,11 +206,6 @@ def _values_match(a, b) -> bool:
     return a == b
 
 
-def _parse_floats(lines: list[str]) -> np.ndarray:
-    """Every comma-separated field of ``lines``, in order, as one float array."""
-    return np.array(",".join(lines).split(","), dtype=float)
-
-
 def _rows(fh):
     """The lines of ``fh``, refusing a blank one (numpy's reader skips them)."""
     for line in fh:
@@ -223,7 +215,8 @@ def _rows(fh):
 
 
 def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
-    """Header and rows of a CSV file written by :func:`_write_csv`.
+    """Header and rows of a CSV file written by :func:`_write_csv`, as
+    ``plotdata`` and ``--check`` read it.
 
     The rows go through numpy's C reader, so no Python string or float is
     made per field. Any line that is not a full row of numbers is refused
@@ -245,38 +238,17 @@ def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
     raise ValidationError(f"{path}: expected a header and rows of numbers, one per column")
 
 
-def _csv_match(new_lines: list[str], old_lines: list[str]) -> bool:
-    """Headers and row counts must agree exactly. Rows that differ as text
-    must both be numeric with the same field count, and agree within
-    tolerance; a differing row that is not numeric fails the match."""
-    if not new_lines or not old_lines or new_lines[0] != old_lines[0]:
-        return False
-    if len(new_lines) != len(old_lines):
-        return False
-    pairs = [(a, b) for a, b in zip(new_lines[1:], old_lines[1:]) if a != b]
-    if not pairs:
-        return True
-    if any(a.count(",") != b.count(",") for a, b in pairs):
-        return False
-    try:
-        new = _parse_floats([a for a, _ in pairs])
-        old = _parse_floats([b for _, b in pairs])
-    except ValueError:
-        return False
-    return _close(new, old)
-
-
 def _files_match(fresh: Path, existing: Path) -> bool:
     # compared in small blocks; the fresh file's path is new on every run,
     # so filecmp's cache of earlier outcomes never answers
     if filecmp.cmp(fresh, existing, shallow=False):
         return True
-    new_bytes, old_bytes = fresh.read_bytes(), existing.read_bytes()
     try:
         if fresh.suffix == ".json":
             return _values_match(load_json(fresh), load_json(existing))
-        return _csv_match(new_bytes.decode("utf-8").splitlines(), old_bytes.decode("utf-8").splitlines())
-    except (ValueError, OverflowError):  # recorded text that is not JSON, not UTF-8 or not a float
+        (new_header, new), (old_header, old) = _read_table(fresh), _read_table(existing)
+        return new_header == old_header and new.shape == old.shape and _close(new, old)
+    except (ValueError, OverflowError):  # recorded text that is not JSON, not UTF-8 or not a table of numbers
         return False
 
 
@@ -451,7 +423,9 @@ def cmd_plotdata(args) -> int:
             arrow = block(tau, nbr, 2)
             arrow = arrow / np.linalg.norm(arrow)
             tau_rows.append([nbr + 1, pts[nbr, 0], pts[nbr, 1], arrow[0], arrow[1]])
-        _write_csv(out_dir / "arrows_Ti.csv", ["node", "x", "y", "dx", "dy"], np.array(tau_rows))
+        # (k, 5) even when the actuator has no neighbour, so the file is its header alone
+        tau_table = np.reshape(tau_rows, (-1, 5))
+        _write_csv(out_dir / "arrows_Ti.csv", ["node", "x", "y", "dx", "dy"], tau_table)
 
         keep = [0] + [c for c, name in enumerate(header) if name.startswith("e_")]
         _write_csv(out_dir / "edge_errors.csv", [header[c] for c in keep], data[:, keep])

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .framework import Framework, Scenario, SimSettings, ValidationError, block
-from .modes import LinearizedSystem
+from .modes import LinearizedSystem, _orthogonal_complement_of_vector
 from .rigidity import (
     FLEXIBLE,
     RbmBasis,
@@ -344,8 +344,7 @@ def controllable_plane(rbm: RbmBasis, node: int) -> ControllablePlane:
         raise ValidationError(f"controllable_plane is defined for d=2, got d={d}")
     r_i = np.array(block(rbm.v_r, node, 2))
     normal = np.array([-r_i[0], -r_i[1], 1.0])
-    u, _, _ = np.linalg.svd(normal.reshape(-1, 1), full_matrices=True)
-    plane_basis = u[:, 1:]
+    plane_basis = _orthogonal_complement_of_vector(normal)
     nrm = float(np.hypot(r_i[0], r_i[1]))
     if nrm > 0.0:
         recovery_line = np.array([-r_i[1], r_i[0], 0.0]) / nrm

@@ -12,11 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .jsonio import dumps_json, load_json
+from .jsonio import dump_json, load_json
 
 __all__ = [
     "Framework",
@@ -210,7 +209,7 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return type(v) in (int, float)
+    return type(v) in (int, float)  # a bool is not a number
 
 
 def _list_of(test):
@@ -339,7 +338,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def save_scenario(scenario: Scenario, path) -> None:
-    Path(path).write_text(dumps_json(scenario_to_dict(scenario)), encoding="utf-8")
+    dump_json(scenario_to_dict(scenario), path)
 
 
 def block(v, node: int, d: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -291,6 +292,36 @@ def test_plotdata_artifacts(tmp_path, case_file):
 def test_plotdata_missing_run_exits_2(tmp_path, capsys):
     assert run(["plotdata", tmp_path]) == EXIT_INPUT
     assert "missing" in capsys.readouterr().err
+
+
+def test_plotdata_of_isolated_actuator_writes_header_only_arrows(tmp_path):
+    """An actuator with no incident edge has no T_i arrow: ``arrows_Ti.csv``
+    is its header line alone, with no blank row, and ``--check`` passes."""
+    data = case_study_scenario_dict(edges=[[2, 3], [3, 4], [2, 4]])
+    path = write_scenario(tmp_path / "isolated.json", data)
+    out = tmp_path / "run"
+    with pytest.warns(UserWarning, match="flexible"):
+        assert run(["dichotomy", path, "--out", out, *SHORT_SIM["dichotomy"]]) == EXIT_OK
+    assert run(["plotdata", out]) == EXIT_OK
+    assert (out / "arrows_Ti.csv").read_bytes() == b"node,x,y,dx,dy\n"
+    assert run(["plotdata", out, "--check"]) == EXIT_OK
+
+
+def test_recorded_scenario_symlink_is_replaced_not_written_through(tmp_path):
+    """``scenario.json`` goes through the atomic writer like every artifact:
+    a symlink there is replaced by a regular file, and its target is left
+    byte for byte."""
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps(triangle_scenario_dict()), encoding="utf-8")
+    before = source.read_bytes()
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "scenario.json").symlink_to(Path("..") / "input.json")
+    assert run(["analyze", source, "--out", out]) == EXIT_OK
+    assert source.read_bytes() == before
+    link = out / "scenario.json"
+    assert link.is_file() and not link.is_symlink()
+    assert link.read_text(encoding="utf-8") == dumps_json(rk.scenario_to_dict(rk.load_scenario(source)))
 
 
 def test_byte_identical_reruns(tmp_path, case_file):
@@ -725,6 +756,19 @@ def edit_json(name, *keys, value=None, factor=None):
     return apply
 
 
+def edit_every_row(name, col, edit):
+    """Apply ``edit`` to field ``col`` of every row of a recorded CSV."""
+    def apply(out):
+        header, *rows = (out / name).read_text().splitlines()
+        lines = [header]
+        for row in rows:
+            cells = row.split(",")
+            cells[col] = edit(cells[col])
+            lines.append(",".join(cells))
+        (out / name).write_text("\n".join(lines) + "\n")
+    return apply
+
+
 def drop_last_row(name):
     def apply(out):
         lines = (out / name).read_text().splitlines()
@@ -743,11 +787,28 @@ BEYOND = 1 + 1e-7
         ("analyze", edit_json("subspaces.json", "flex", 0, 0, factor=WITHIN)),
         ("modes", edit_json("modes.json", "checks", "uncontrollable_split", "component_principal_angles", 0, factor=WITHIN)),
         ("dichotomy", edit_csv("trajectory.csv", 3, 1, scale_cell(WITHIN))),
+        ("dichotomy", edit_every_row("trajectory.csv", -1, scale_cell(WITHIN))),
     ],
-    ids=["csv-cell", "json-nested", "json-deep-angle", "csv-trajectory-cell"],
+    ids=["csv-cell", "json-nested", "json-deep-angle", "csv-trajectory-cell", "csv-trajectory-every-row"],
 )
 def test_check_accepts_perturbation_within_tolerance(tmp_path, case_file, command, edit):
     assert record_and_check(case_file, tmp_path / "run", command, edit) == EXIT_OK
+
+
+def test_check_memory_stays_bounded_when_every_row_differs(lattice_run, tmp_path):
+    """``--check`` of the recorded n = 120 trajectory (301 x 559) whose every
+    row differs within tolerance reads both tables with numpy's C reader:
+    the whole call peaks under 10 MB (31 MB with a Python string per field)."""
+    scenario, recorded = lattice_run
+    out = shutil.copytree(recorded, tmp_path / "run")
+    edit_every_row("trajectory.csv", -1, scale_cell(1 + 1e-12))(out)
+    before = (recorded / "trajectory.csv").read_text().splitlines()
+    after = (out / "trajectory.csv").read_text().splitlines()
+    assert len(before) == len(after) and all(a != b for a, b in zip(before[1:], after[1:]))
+    codes = []
+    peak = traced_peak(lambda: codes.append(run(["dichotomy", scenario, "--out", out, "--check"])))
+    assert codes == [EXIT_OK]
+    assert peak < 10 * 2**20, peak
 
 
 @pytest.mark.parametrize(
@@ -962,13 +1023,18 @@ def replace_run_directory_by_file(out):
         (["analyze"], make_directory("manifest.json"), EXIT_INPUT, "{tmp}/run/manifest.json"),
         (["modes"], make_directory("../case.json"), EXIT_INPUT, "{tmp}/case.json"),
         (["modes"], replace_run_directory_by_file, EXIT_INPUT, "{tmp}/run"),
+        # --check reads a differing CSV as plotdata does
+        (["dichotomy", "--check"], edit_lines("trajectory.csv", lambda lines: lines[:3] + [""] + lines[3:]),
+         EXIT_NUMERICAL, "trajectory.csv differs from the recorded run"),
+        (["dichotomy", "--check"], edit_lines("trajectory.csv", lambda lines: lines[:1]),
+         EXIT_NUMERICAL, "trajectory.csv differs from the recorded run"),
     ],
     ids=["trajectory-non-numeric", "trajectory-missing-field", "trajectory-empty",
          "check-json-unparsable", "check-csv-not-utf8", "check-json-int-beyond-float", "manifest-not-json",
          "trajectory-blank-line", "trajectory-header-only", "trajectory-hash-field",
          "trajectory-underscore-digits", "check-json-is-directory", "trajectory-is-directory",
          "run-scenario-is-directory", "manifest-is-directory", "scenario-path-is-directory",
-         "out-is-file"],
+         "out-is-file", "check-csv-blank-line", "check-csv-header-only"],
 )
 def test_broken_run_directory_exits_cleanly(tmp_path, case_file, capsys, argv, edit, code, message):
     """A corrupted file in a run directory, or a path that is not a plain
