@@ -80,7 +80,7 @@ class Trajectory:
     states: np.ndarray  # (T, n*d)
     edge_errors: np.ndarray  # (T, m)
     potential: np.ndarray  # (T,)
-    framework_hash: str
+    framework_key: bytes
 
     def tail_state(self) -> np.ndarray:
         """Mean state over the trailing ``TAIL_FRACTION`` of samples."""
@@ -177,7 +177,7 @@ def _trajectory(kind: str, fw: Framework, states, errors, settings: SimSettings)
         states=states,
         edge_errors=errors,
         potential=0.5 * np.einsum("tk,tk->t", errors, errors),
-        framework_hash=fw.content_hash(),
+        framework_key=fw.content_key(),
     )
 
 
@@ -245,7 +245,7 @@ def simulate_lti(sys: LinearizedSystem, dp0, settings: SimSettings = SimSettings
 
 def edge_error_series(fw: Framework, traj: Trajectory) -> EdgeErrorSeries:
     """Exact (and for linearized runs also first-order) edge-error series."""
-    if traj.framework_hash != fw.content_hash():
+    if traj.framework_key != fw.content_key():
         raise ValidationError("trajectory was produced by a different framework")
     if traj.kind == "nonlinear":
         return EdgeErrorSeries(exact=traj.edge_errors, linearized=None)
@@ -410,8 +410,8 @@ class ImpulseOutcome:
 def _check_planar_system(scenario: Scenario, sys: LinearizedSystem, what: str) -> None:
     if scenario.framework.d != 2:
         raise ValidationError(f"{what} requires d=2, got d={scenario.framework.d}")
-    key = (scenario.framework.content_hash(), scenario.actuator, scenario.sensor, scenario.tol)
-    if (sys.framework.content_hash(), sys.actuator, sys.sensor, sys.rigidity.tol) != key:
+    key = (scenario.framework.content_key(), scenario.actuator, scenario.sensor, scenario.tol)
+    if (sys.framework.content_key(), sys.actuator, sys.sensor, sys.rigidity.tol) != key:
         raise ValidationError(
             f"{what}: the linearized system belongs to another framework, nodes or tolerances"
         )

@@ -9,7 +9,6 @@ edge-indexed vector and matrix derived from a framework.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -97,10 +96,6 @@ class Framework:
         if zero.size:
             i, j = edges[zero[0]]
             raise ValidationError(f"edges: zero-length edge ({i}, {j})")
-        h = hashlib.sha256()
-        h.update(f"{self.n}:{self.d}:{edges}".encode())
-        h.update(pos.tobytes())
-        object.__setattr__(self, "_content_hash", h.hexdigest())
 
     @classmethod
     def from_points(cls, points, edges) -> "Framework":
@@ -136,9 +131,10 @@ class Framework:
         """Read-only (m, 2) array of the canonical edges' endpoints."""
         return self._edge_ends
 
-    def content_hash(self) -> str:
-        """SHA-256 of n, d, the edges and the positions, computed once."""
-        return self._content_hash
+    def content_key(self) -> bytes:
+        """n, d, the edges and the position bytes, which tell whether a result
+        was computed for this framework."""
+        return f"{self.n}:{self.d}:{self.edges}".encode() + self.positions.tobytes()
 
 
 @dataclass(frozen=True)

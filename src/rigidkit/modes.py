@@ -36,8 +36,8 @@ from .rigidity import (
     skew_generators,
 )
 from .subspaces import (
+    _ORTHO_CHECK,
     DEFAULT_TOL,
-    NumericalError,
     Subspace,
     contains,
     direct_sum_check,
@@ -173,7 +173,9 @@ def eigenspaces(lam: np.ndarray, vec: np.ndarray, flex: np.ndarray) -> list[tupl
     rigid-body motions. The other eigenvectors are projected off ``flex``,
     and consecutive eigenvalues among them closer than
     ``EIG_GROUP_RTOL * max|lambda|`` share one eigenspace, since the pinning
-    analysis must act on whole eigenspaces.
+    analysis must act on whole eigenspaces. A projected group whose columns
+    are no longer orthonormal to ``_ORTHO_CHECK`` is replaced by the left
+    singular vectors of its span; every other group keeps ``eigh``'s columns.
     """
     nonzero = lam.size - flex.shape[1]
     vec = vec[:, :nonzero]
@@ -184,7 +186,11 @@ def eigenspaces(lam: np.ndarray, vec: np.ndarray, flex: np.ndarray) -> list[tupl
     start = 0
     for k in range(1, nonzero + 1):
         if k == nonzero or lam[k] - lam[k - 1] > gap:
-            groups.append((float(lam[start:k].mean()), vec[:, start:k]))
+            basis = vec[:, start:k]
+            if np.abs(basis.T @ basis - np.eye(k - start)).max() > _ORTHO_CHECK:
+                basis = np.linalg.svd(basis, full_matrices=False)[0]
+                basis.setflags(write=False)
+            groups.append((float(lam[start:k].mean()), basis))
             start = k
     groups.append((float(lam[nonzero:].mean()), flex))
     return groups
@@ -203,13 +209,13 @@ def _null_coeffs(m: np.ndarray, tol: float) -> np.ndarray:
     return vt[mask].T
 
 
-def _complement_coeffs(sub: np.ndarray, r: int) -> np.ndarray:
-    """Orthonormal complement of a coefficient subspace inside R^r."""
-    if sub.shape[1] == 0:
-        return np.eye(r)
-    u, s, _ = np.linalg.svd(sub, full_matrices=True)
-    rank = int(np.sum(s > 1e-12))
-    return u[:, rank:]
+def _rank(m: np.ndarray, cutoff: float, relative: bool = False) -> int:
+    """Count of singular values of ``m`` above ``cutoff`` (times the largest
+    one when ``relative``); zero for an empty matrix."""
+    s = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)
+    if relative and s.size:
+        cutoff *= s[0]
+    return int(np.sum(s > cutoff))
 
 
 def global_rotation_subspace(fw: Framework, node: int, tol: float = DEFAULT_TOL) -> Subspace:
@@ -238,33 +244,26 @@ def local_rotation_subspace(fw: Framework, node: int, tol: float = DEFAULT_TOL) 
     """Motions that fix ``node`` and preserve its incident edge lengths to
     first order.
 
-    Built block by block: each neighbor contributes the d-1 directions
-    orthogonal to its edge vector, every non-neighbor moves freely, and the
-    fixed node contributes nothing. The blocks are disjoint, so the basis
-    is orthonormal by construction; dimension d(n-1) - deg(node)
-    for generic positions.
+    The basis is one ``(nd, d(n-1) - deg(node))`` array, filled node block
+    by node block in node order: the d-1 directions orthogonal to the edge
+    for each neighbor, the identity for every other node, no column for the
+    fixed node. The blocks are disjoint, so the basis is orthonormal by
+    construction.
     """
     if not (0 <= node < fw.n):
         raise IndexError(f"node index {node} out of range for n={fw.n}")
     n, d = fw.n, fw.d
     pts = fw.points
     nbrs = set(fw.neighbors(node))
-    cols = []
+    basis = np.zeros((n * d, d * (n - 1) - len(nbrs)))
+    col = 0
     for k in range(n):
         if k == node:
             continue
-        rows = _block_rows(k, d)
-        if k in nbrs:
-            local = _orthogonal_complement_of_vector(pts[k] - pts[node])
-        else:
-            local = np.eye(d)
-        for col in local.T:
-            v = np.zeros(n * d)
-            v[rows] = col
-            cols.append(v)
-    if not cols:
-        return Subspace.zero(n * d, tol)
-    return Subspace(basis=np.column_stack(cols), tol=tol)
+        local = _orthogonal_complement_of_vector(pts[k] - pts[node]) if k in nbrs else np.eye(d)
+        basis[_block_rows(k, d), col : col + local.shape[1]] = local
+        col += local.shape[1]
+    return Subspace(basis=basis, tol=tol)
 
 
 def elementary_rotations(fw: Framework, node: int, neighbor: int) -> np.ndarray:
@@ -289,28 +288,30 @@ def _angles_list(s1: Subspace, s2: Subspace) -> list[float]:
 
 @dataclass(frozen=True)
 class EigenspaceModes:
-    """Four-way controllability/observability split of one eigenspace.
+    """Dimensions of the four-way controllability/observability split of
+    one eigenspace.
 
     The doubly hidden part collects eigenvectors pinned at both nodes; the
     "uncontrollable but observable" part is its orthogonal complement
     inside the pinned-at-actuator part (dually for the sensor), and the
-    rest of the eigenspace is controllable and observable. The four
-    dimensions always add up to the eigenspace dimension.
+    rest of the eigenspace is controllable and observable. Each field is
+    the dimension of its part, an int; the four add up to the eigenspace
+    dimension.
     """
 
     eigenvalue: float
     multiplicity: int
-    controllable_observable: Subspace
-    uncontrollable_observable: Subspace
-    controllable_unobservable: Subspace
-    uncontrollable_unobservable: Subspace
+    controllable_observable: int
+    uncontrollable_observable: int
+    controllable_unobservable: int
+    uncontrollable_unobservable: int
 
     def dims(self) -> dict:
         return {
-            "controllable_observable": self.controllable_observable.dim,
-            "uncontrollable_observable": self.uncontrollable_observable.dim,
-            "controllable_unobservable": self.controllable_unobservable.dim,
-            "uncontrollable_unobservable": self.uncontrollable_unobservable.dim,
+            "controllable_observable": self.controllable_observable,
+            "uncontrollable_observable": self.uncontrollable_observable,
+            "controllable_unobservable": self.controllable_unobservable,
+            "uncontrollable_unobservable": self.uncontrollable_unobservable,
         }
 
 
@@ -354,8 +355,12 @@ class ModeReport:
 
 def classify_modes(sys: LinearizedSystem) -> ModeReport:
     """Split every eigenspace into the four controllability/observability
-    categories by pinning at the actuator and sensor nodes."""
-    tol = sys.rigidity.subspace_tol
+    categories by pinning at the actuator and sensor nodes.
+
+    Each dimension is a rank in the eigenspace's orthonormal coefficients:
+    a pinned part minus its overlap with the doubly hidden part, and the
+    visible part is what the two pinned parts together leave of the
+    eigenspace (rank counted as :func:`orthonormalize` counts it)."""
     groups = []
     for (lam, basis), nc, no, nh in zip(
         sys.eigen_groups,
@@ -364,31 +369,14 @@ def classify_modes(sys: LinearizedSystem) -> ModeReport:
         sys.pinned_coeffs((sys.actuator, sys.sensor)),
     ):
         r = basis.shape[1]
-
-        def _sub(coeffs: np.ndarray) -> Subspace:
-            if coeffs.shape[1] == 0:
-                return Subspace.zero(sys.dim, tol)
-            try:
-                return Subspace(basis=basis @ coeffs, tol=tol)
-            except ValueError as exc:  # eigh leaked too much of ker R into this eigenspace
-                raise NumericalError(f"eigenvalue {lam:.6g}: {exc}") from exc
-
-        # complement of the doubly hidden part inside each pinned part
-        beta_c = nc.T @ nh
-        co_coeffs = nc @ _complement_coeffs(beta_c, nc.shape[1]) if nc.shape[1] else nc
-        beta_o = no.T @ nh
-        ob_coeffs = no @ _complement_coeffs(beta_o, no.shape[1]) if no.shape[1] else no
-        both = np.hstack([nc, no]) if (nc.shape[1] or no.shape[1]) else np.zeros((r, 0))
-        visible = _complement_coeffs(orthonormalize(both, ambient_dim=r).basis, r)
-
         groups.append(
             EigenspaceModes(
                 eigenvalue=lam,
                 multiplicity=r,
-                controllable_observable=_sub(visible),
-                uncontrollable_observable=_sub(co_coeffs),
-                controllable_unobservable=_sub(ob_coeffs),
-                uncontrollable_unobservable=_sub(nh),
+                controllable_observable=r - _rank(np.hstack([nc, no]), DEFAULT_TOL, relative=True),
+                uncontrollable_observable=nc.shape[1] - _rank(nc.T @ nh, 1e-12),
+                controllable_unobservable=no.shape[1] - _rank(no.T @ nh, 1e-12),
+                uncontrollable_unobservable=nh.shape[1],
             )
         )
     return ModeReport(actuator=sys.actuator, sensor=sys.sensor, groups=tuple(groups))

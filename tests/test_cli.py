@@ -112,15 +112,24 @@ def test_malformed_field_exits_2(tmp_path, capsys, overrides, field):
     assert len(err) == 1 and err[0].startswith(f"error: {field}: expected")
 
 
-@pytest.mark.parametrize("scenario", [triangle_scenario_dict, case_study_scenario_dict])
+@pytest.mark.parametrize("scenario", [triangle_scenario_dict, case_study_scenario_dict, lattice_scenario_dict])
 def test_decompositions_computed_once_per_run(tmp_path, monkeypatch, scenario):
     """``modes`` runs one eigh of A and builds R, R_i, T_i and the
-    classification once each; ``analyze`` one SVD each of R and R^T and one
-    of the rigid-body rotation generators; ``dichotomy`` with a sweep and
-    the nonlinear run builds R once, runs one eigh of A, one SVD of R and
-    one of the rotation generators."""
+    classification once each, and fewer than 50 subspaces in all (none per
+    eigenvalue group: the n = 120 lattice has 238 groups); ``analyze`` one
+    SVD each of R and R^T and one of the rigid-body rotation generators;
+    ``dichotomy`` with a sweep and the nonlinear run builds R once, runs one
+    eigh of A, one SVD of R and one of the rotation generators."""
     built = ("rigidity_matrix", "classify_rigidity", "global_rotation_subspace", "local_rotation_subspace")
     counts = dict.fromkeys(("eigh", "svd", *built), 0)
+    subspaces = []  # one entry per Subspace built
+    post_init = rk.Subspace.__post_init__
+
+    def counted_post_init(self):
+        subspaces.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(rk.Subspace, "__post_init__", counted_post_init)
 
     def count(owner, name, fn):
         def counted(*args, **kwargs):
@@ -140,11 +149,13 @@ def test_decompositions_computed_once_per_run(tmp_path, monkeypatch, scenario):
 
     def counted_run(*args):
         counts.update(dict.fromkeys(counts, 0))
+        subspaces.clear()
         assert run([args[0], path, "--out", tmp_path / "run", *args[1:]]) == EXIT_OK
         return dict(counts)
 
     modes = counted_run("modes")
     assert modes["eigh"] == 1 and all(modes[name] == 1 for name in built), modes
+    assert len(subspaces) < 50, len(subspaces)
     no_rotations = {"classify_rigidity": 1, "global_rotation_subspace": 0, "local_rotation_subspace": 0}
     assert counted_run("analyze") == {"eigh": 0, "svd": 3, "rigidity_matrix": 1, **no_rotations}
     dichotomy = counted_run("dichotomy", "--sweep", 8, "--nonlinear", "--t-end", 2)
@@ -713,6 +724,13 @@ def test_trajectory_csv_in_row_blocks_matches_whole_table(tmp_path, chunk):
 
 def test_cli_import_loads_no_scipy():
     code = "import sys, rigidkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_hashlib():
+    code = "import sys, rigidkit.cli; print(sorted(m for m in sys.modules if m in ('hashlib', '_hashlib')))"
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

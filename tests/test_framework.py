@@ -166,8 +166,8 @@ def test_framework_immutable():
 def test_content_hash_tracks_content():
     fw = triangle()
     other = rk.Framework.from_points([[0.0, 0.0], [1.0, 0.0], [0.0, 1.1]], fw.edges)
-    assert fw.content_hash() == triangle().content_hash()
-    assert fw.content_hash() != other.content_hash()
+    assert fw.content_key() == triangle().content_key()
+    assert fw.content_key() != other.content_key()
 
 
 def test_scenario_defaults(tmp_path):

@@ -1,5 +1,6 @@
 """Hidden-mode geometry: pinning analysis, rotation subspaces, reports."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import rigidkit as rk
+from rigidkit.cli import EXIT_OK, main
 
 from conftest import (
     complete_k4,
@@ -20,6 +22,8 @@ from conftest import (
     triangle,
     write_scenario,
 )
+
+DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
 
 def krylov_hidden(A, B):
@@ -320,10 +324,11 @@ def test_classify_modes_triangle():
         "uncontrollable_unobservable": 0,
     }
     # the rotation about the actuator is uncontrollable yet visible at the
-    # sensor: it must land in the uncontrollable-but-observable part
+    # sensor: it must land in the uncontrollable-but-observable part, which
+    # the ambient reference builds as a subspace
     rot = rk.global_rotation_subspace(sys.framework, 0)
-    zero_group = report.groups[-1]
-    assert rk.contains(zero_group.uncontrollable_observable, rot)
+    zero_group = ambient_four_way(sys)[-1]
+    assert rk.contains(zero_group["uncontrollable_observable"], rot)
 
 
 def test_classify_modes_same_node():
@@ -354,6 +359,25 @@ def test_mode_report_serializable():
     from rigidkit.jsonio import dumps_json
 
     assert "eigenvalues" in payload and dumps_json(payload)
+
+
+def test_ill_conditioned_square_completes(tmp_path):
+    """With agent 3 far out at (323, 1), max |lambda| is about 1.7e6 and eigh
+    leaks enough of ker R into the slowest deformation that its projected
+    basis is no longer orthonormal to 1e-12; the analysis completes anyway."""
+    data = json.loads((DEMO_SCENARIOS / "square_diagonal.json").read_text(encoding="utf-8"))
+    data["positions"][2] = [323.0, 1.0]
+    path = write_scenario(tmp_path / "far.json", data)
+    assert main(["modes", path, "--out", str(tmp_path / "run")]) == EXIT_OK
+    scenario = rk.load_scenario(path)
+    fw, sys = scenario.framework, system_of(scenario)
+    assert sum(rk.classify_modes(sys).four_way.values()) == fw.n * fw.d == 8
+    rot = rk.global_rotation_subspace(fw, sys.actuator)
+    assert sys.uncontrollable.dim == rot.dim
+    assert rk.principal_angles(sys.uncontrollable, rot).max() < 1e-8
+    swapped = rk.linearize(fw, sys.sensor, sys.actuator, scenario.tol).uncontrollable
+    assert sys.unobservable.dim == swapped.dim
+    assert rk.principal_angles(sys.unobservable, swapped).max() < 1e-10
 
 
 def test_hidden_mode_checks_complete_on_examples():
@@ -434,7 +458,7 @@ def test_node_block_forms_match_intersections(case):
 
 @pytest.mark.parametrize("name", ["triangle", "four_cycle", "square_diagonal"])
 def test_node_block_forms_match_intersections_on_demos(name):
-    scenario = rk.load_scenario(Path(__file__).resolve().parents[1] / "demos" / "scenarios" / f"{name}.json")
+    scenario = rk.load_scenario(DEMO_SCENARIOS / f"{name}.json")
     for node in range(scenario.framework.n):
         sys = rk.linearize(scenario.framework, node, scenario.sensor, scenario.tol)
         assert node_block_verdicts(sys) == intersection_verdicts(sys)
@@ -444,3 +468,62 @@ def test_node_block_forms_match_intersections_on_lattice(tmp_path):
     scenario = rk.load_scenario(write_scenario(tmp_path / "lattice.json", lattice_scenario_dict()))
     sys = system_of(scenario)
     assert node_block_verdicts(sys) == intersection_verdicts(sys)
+
+
+# --------------------------------------- coefficient ranks vs ambient subspaces
+
+
+def _complement_coeffs(sub: np.ndarray, r: int) -> np.ndarray:
+    """Orthonormal complement of a coefficient subspace inside R^r."""
+    if sub.shape[1] == 0:
+        return np.eye(r)
+    u, s, _ = np.linalg.svd(sub, full_matrices=True)
+    return u[:, int(np.sum(s > 1e-12)):]
+
+
+def ambient_four_way(sys) -> list[dict]:
+    """The four-way split that the coefficient ranks of ``classify_modes``
+    replaced, made as before: per eigenvalue group, each part as the ambient
+    subspace ``basis @ coeffs``. Kept as their oracle."""
+    tol = sys.rigidity.subspace_tol
+    groups = []
+    for (_, basis), nc, no, nh in zip(
+        sys.eigen_groups,
+        sys.pinned_coeffs((sys.actuator,)),
+        sys.pinned_coeffs((sys.sensor,)),
+        sys.pinned_coeffs((sys.actuator, sys.sensor)),
+    ):
+        r = basis.shape[1]
+        both = np.hstack([nc, no]) if (nc.shape[1] or no.shape[1]) else np.zeros((r, 0))
+        coeffs = {
+            "controllable_observable": _complement_coeffs(rk.orthonormalize(both, ambient_dim=r).basis, r),
+            "uncontrollable_observable": nc @ _complement_coeffs(nc.T @ nh, nc.shape[1]) if nc.shape[1] else nc,
+            "controllable_unobservable": no @ _complement_coeffs(no.T @ nh, no.shape[1]) if no.shape[1] else no,
+            "uncontrollable_unobservable": nh,
+        }
+        groups.append({name: rk.Subspace(basis @ c, tol) for name, c in coeffs.items()})
+    return groups
+
+
+def assert_four_way_matches_ambient(sys):
+    dims = [g.dims() for g in rk.classify_modes(sys).groups]
+    assert dims == [{name: sub.dim for name, sub in g.items()} for g in ambient_four_way(sys)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=frameworks_with_node())
+def test_coefficient_ranks_match_ambient_split(case):
+    fw, node = case
+    assert_four_way_matches_ambient(rk.linearize(fw, node, 0))
+
+
+@pytest.mark.parametrize("name", ["triangle", "four_cycle", "square_diagonal"])
+def test_coefficient_ranks_match_ambient_split_on_demos(name):
+    scenario = rk.load_scenario(DEMO_SCENARIOS / f"{name}.json")
+    for node in range(scenario.framework.n):
+        assert_four_way_matches_ambient(rk.linearize(scenario.framework, node, scenario.sensor, scenario.tol))
+
+
+def test_coefficient_ranks_match_ambient_split_on_lattice(tmp_path):
+    scenario = rk.load_scenario(write_scenario(tmp_path / "lattice.json", lattice_scenario_dict()))
+    assert_four_way_matches_ambient(system_of(scenario))
