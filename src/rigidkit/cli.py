@@ -28,12 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (
-    controllable_plane,
-    edge_error_series,
-    shape_recovery_experiment,
-    sweep_impulse_angles,
-)
 from .framework import (
     Scenario,
     ScenarioParseError,
@@ -45,13 +39,6 @@ from .framework import (
     scenario_to_dict,
 )
 from .jsonio import NonFiniteError, atomic_write, dump_json, load_json
-from .modes import (
-    classify_modes,
-    elementary_rotations,
-    global_rotation_subspace,
-    hidden_mode_checks,
-    linearize,
-)
 from .subspaces import NumericalError, contains
 from .rigidity import (
     classify_rigidity,
@@ -131,6 +118,8 @@ def _write_trajectory_csv(scenario: Scenario, traj, path: Path) -> None:
     """Columns t, p_1x, p_1y, ..., e_1, ..., e_m, V with absolute positions
     and exact edge errors, for either kind of trajectory. The table is
     built a block of about ``CSV_CHUNK_CELLS`` fields at a time."""
+    from .dynamics import edge_error_series
+
     fw = scenario.framework
     errors = edge_error_series(fw, traj).exact
     potential = 0.5 * np.einsum("tk,tk->t", errors, errors)
@@ -326,6 +315,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_modes(args) -> int:
+    from .modes import classify_modes, hidden_mode_checks, linearize
+
     scenario = _apply_overrides(load_scenario(args.scenario), args)
 
     def runner(out_dir: Path) -> list[str]:
@@ -357,6 +348,9 @@ def cmd_modes(args) -> int:
 
 
 def cmd_dichotomy(args) -> int:
+    from .dynamics import shape_recovery_experiment, sweep_impulse_angles
+    from .modes import linearize
+
     scenario = _apply_overrides(load_scenario(args.scenario), args)
 
     def runner(out_dir: Path) -> list[str]:
@@ -392,6 +386,9 @@ def cmd_dichotomy(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
+    from .dynamics import controllable_plane
+    from .modes import elementary_rotations, global_rotation_subspace
+
     run_dir = Path(args.run_dir)
     scenario_path = run_dir / "scenario.json"
     if not scenario_path.exists():
@@ -501,5 +498,26 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
+def entry() -> None:
+    """Run :func:`main` as a process: the ``rigidkit`` command and
+    ``python -m rigidkit.cli``.
+
+    Once stdout and stderr are flushed the process ends with ``os._exit``,
+    skipping the interpreter's teardown of numpy and rigidkit. Nothing is
+    lost by that: every file written is closed by then, and no ``atexit``
+    hook is registered. An exception that escapes :func:`main` (argparse's
+    ``SystemExit`` included) and a flush that fails take the normal way out,
+    so Python reports the failed flush without a traceback and exits 120.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process was started with the stream closed
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -58,8 +58,10 @@ class Subspace:
         if b.shape[1] > b.shape[0]:
             raise ValueError(f"more basis vectors ({b.shape[1]}) than ambient dimension ({b.shape[0]})")
         if b.shape[1]:
+            # |b^T b - I| in place, in the one (k, k) Gram matrix
             gram = b.T @ b
-            dev = np.abs(gram - np.eye(b.shape[1])).max()
+            gram.flat[:: b.shape[1] + 1] -= 1.0
+            dev = np.abs(gram, out=gram).max()
             if dev > _ORTHO_CHECK:
                 raise ValueError(f"basis columns are not orthonormal (deviation {dev:.3e})")
         b.setflags(write=False)

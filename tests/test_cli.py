@@ -38,11 +38,15 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def python_env():
+    """The environment of a fresh interpreter that imports the rigidkit under test."""
+    paths = [str(Path(rk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
 def run_python(*args):
     """A fresh interpreter that imports the rigidkit under test."""
-    paths = [str(Path(rk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=python_env())
 
 
 @pytest.fixture()
@@ -413,14 +417,71 @@ def test_env_var_output_dir(tmp_path, triangle_file, monkeypatch):
     assert (target / "report.json").exists()
 
 
-def test_module_entry_point(tmp_path, triangle_file):
-    proc = run_python("-m", "rigidkit.cli", "analyze", str(triangle_file), "--out", str(tmp_path / "run"))
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "run" / "report.json").exists()
-
-
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+
+
+def run_module(*args):
+    """``python -m rigidkit.cli`` in a fresh interpreter, which ends through
+    ``cli.entry``: returncode, stdout and stderr."""
+    proc = run_python("-m", "rigidkit.cli", *map(str, args))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_entry_point(tmp_path, triangle_file):
+    out = tmp_path / "run"
+    files = "report.json, rigidity_matrix.csv, scenario.json, subspaces.json"
+    assert run_module("analyze", triangle_file, "--out", out) == (
+        EXIT_OK, f"analyze: wrote {files} to {out}\n", ""
+    )
+    assert (out / "report.json").exists()
+    assert run_module("analyze", triangle_file, "--out", out, "--check") == (
+        EXIT_OK, "check passed for analyze: 4 files match\n", ""
+    )
+    report = load_json(out / "report.json")
+    dump_json(dict(report, rank=report["rank"] + 1), out / "report.json")
+    assert run_module("analyze", triangle_file, "--out", out, "--check") == (
+        EXIT_NUMERICAL, "", "check: report.json differs from the recorded run\n"
+    )
+    missing = tmp_path / "missing.json"
+    assert run_module("analyze", missing) == (
+        EXIT_INPUT, "", f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    )
+    code, stdout, stderr = run_module()  # argparse's SystemExit
+    assert (code, stdout) == (EXIT_INPUT, "")
+    assert stderr.splitlines()[-1] == "rigidkit: error: the following arguments are required: command"
+
+
+def test_module_entry_point_reports_flexible_warning(tmp_path):
+    # four_cycle is flexible: the verdict is withheld with a warning on stderr
+    out = tmp_path / "run"
+    source = Path(rk.__file__).resolve().with_name("cli.py")
+    lines = source.read_text(encoding="utf-8").splitlines()
+    lineno = next(k + 1 for k, line in enumerate(lines) if "= shape_recovery_experiment(" in line)
+    warning = "UserWarning: framework is flexible: the recovery/distortion verdict is withheld"
+    assert run_module(
+        "dichotomy", DEMO_SCENARIOS / "four_cycle.json", "--out", out, "--dt", 0.02, "--t-end", 2
+    ) == (
+        EXIT_OK,
+        f"dichotomy: wrote outcome.json, scenario.json, trajectory.csv to {out}\n",
+        f"{source}:{lineno}: {warning}\n  {lines[lineno - 1].strip()}\n",
+    )
+    assert load_json(out / "outcome.json")["outcome"]["verdict"] == "withheld"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_module_entry_point_failed_flush_exits_120(tmp_path, triangle_file):
+    # stdout block-buffered, so the report line is written only at the final flush
+    env = python_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rigidkit.cli", "analyze", str(triangle_file), "--out", str(tmp_path)],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    assert proc.returncode == 120
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == "OSError: [Errno 28] No space left on device"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -734,6 +795,70 @@ def test_cli_import_loads_no_hashlib():
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_import_loads_no_submodule():
+    code = "import sys, rigidkit; print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'rigidkit')))"
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['rigidkit']"
+
+
+def rigidkit_modules_loaded(*args):
+    """The ``rigidkit.*`` modules a fresh ``python -m rigidkit.cli`` process imports."""
+    proc = run_python("-X", "importtime", "-m", "rigidkit.cli", *map(str, args))
+    assert proc.returncode == 0, proc.stderr
+    names = (line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:"))
+    return {name for name in names if name.startswith("rigidkit.")}
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path, triangle_file):
+    out = tmp_path / "run"
+    for extra in ([], ["--check"]):
+        loaded = rigidkit_modules_loaded("analyze", triangle_file, "--out", out, *extra)
+        assert "rigidkit.rigidity" in loaded
+        assert not loaded & {"rigidkit.dynamics", "rigidkit.modes"}, extra
+    loaded = rigidkit_modules_loaded("modes", triangle_file, "--out", out)
+    assert "rigidkit.modes" in loaded
+    assert "rigidkit.dynamics" not in loaded
+
+
+# the names ``rigidkit/__init__.py`` imported eagerly from its modules
+PACKAGE_EXPORTS = """
+    controllable_plane edge_error_series rbm_coefficients rbm_motion_from_coords
+    shape_recovery_experiment simulate_lti simulate_nonlinear steady_state sweep_impulse_angles
+    Framework Scenario ScenarioParseError SimSettings ToleranceOverrides ValidationError block
+    load_scenario save_scenario scenario_to_dict
+    LinearizedSystem classify_modes eigenspaces elementary_rotations global_rotation_subspace
+    hidden_mode_checks linearize local_rotation_subspace
+    FLEXIBLE INFINITESIMALLY_RIGID MINIMALLY_RIGID RIGID_WITH_REDUNDANCY RigidityMatrix
+    classify_rigidity deformation_space flex_space rbm_basis rigidity_function rigidity_matrix
+    rigidity_rank self_stress_space
+    DEFAULT_TOL NumericalError Subspace contains direct_sum_check intersect nullspace
+    orthonormalize principal_angles project
+""".split()
+
+
+def test_package_exports_resolve_on_first_lookup():
+    # each way of looking a name up, in an interpreter where it is not yet loaded
+    by_attribute = (
+        "import rigidkit, sys\n"
+        f"names = {PACKAGE_EXPORTS!r}\n"
+        "print([n for n in names if n not in dir(rigidkit)])\n"
+        "print(rigidkit.modes.__name__)\n"  # a submodule nothing has imported yet
+        "values = [getattr(rigidkit, n) for n in names]\n"
+        "print(all(getattr(sys.modules[v.__module__], n) is v for n, v in zip(names, values) if hasattr(v, '__module__')))"
+    )
+    proc = run_python("-c", by_attribute)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "rigidkit.modes", "True"]
+    proc = run_python("-c", f"from rigidkit import {', '.join(PACKAGE_EXPORTS)}")
+    assert proc.returncode == 0, proc.stderr
+    proc = run_python("-c", f"from rigidkit import *\nprint([n for n in {PACKAGE_EXPORTS!r} if n not in globals()])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        rk.not_a_name
 
 
 SHORT_SIM = {"dichotomy": ["--dt", 0.02, "--t-end", 2]}

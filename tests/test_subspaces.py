@@ -42,6 +42,27 @@ def test_subspace_rejects_non_orthonormal_basis():
         Subspace(basis=np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def test_subspace_check_matches_gram_minus_identity():
+    # the deviation |b^T b - I| as it was computed before the in-place form, kept as the oracle
+    from rigidkit.subspaces import _ORTHO_CHECK
+
+    rng = np.random.default_rng(7)
+    verdicts = set()
+    for trial in range(400):
+        n = int(rng.integers(1, 30))
+        k = int(rng.integers(1, n + 1))
+        q = np.linalg.qr(rng.standard_normal((n, k)))[0]
+        b = q + rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-14.5, -11.5)
+        dev = np.abs(b.T @ b - np.eye(k)).max()
+        if dev > _ORTHO_CHECK:
+            with pytest.raises(ValueError, match=rf"\(deviation {dev:.3e}\)"):
+                Subspace(b)
+        else:
+            assert Subspace(b).basis.tobytes() == b.tobytes()
+        verdicts.add(bool(dev > _ORTHO_CHECK))
+    assert verdicts == {True, False}
+
+
 def test_project_examples():
     s = span([1.0, 0.0])
     assert np.allclose(rk.project(s, [3.0, 4.0]), [3.0, 0.0])
