@@ -21,7 +21,7 @@ rbm = rk.rbm_basis(fw)
 r_i = rk.block(rbm.v_r, actuator, 2)
 print("rotational mode velocity at the actuated node:", r_i)
 
-# every experiment below shares one linearized system (and its eigh of A)
+# every experiment below shares one linearized system (and the SVD of R behind it)
 sys = rk.linearize(fw, actuator, sensor=2)
 sim = rk.SimSettings(dt=0.005, t_end=40.0)
 

@@ -17,7 +17,7 @@ import importlib
 _EXPORTS = {
     name: module
     for module, names in {
-        "dynamics": """controllable_plane edge_error_series rbm_coefficients rbm_motion_from_coords
+        "dynamics": """controllable_plane rbm_coefficients rbm_motion_from_coords
             shape_recovery_experiment simulate_lti simulate_nonlinear steady_state
             sweep_impulse_angles""",
         "framework": """Framework Scenario ScenarioParseError SimSettings ToleranceOverrides

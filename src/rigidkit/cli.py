@@ -118,11 +118,7 @@ def _write_trajectory_csv(scenario: Scenario, traj, path: Path) -> None:
     """Columns t, p_1x, p_1y, ..., e_1, ..., e_m, V with absolute positions
     and exact edge errors, for either kind of trajectory. The table is
     built a block of about ``CSV_CHUNK_CELLS`` fields at a time."""
-    from .dynamics import edge_error_series
-
     fw = scenario.framework
-    errors = edge_error_series(fw, traj).exact
-    potential = 0.5 * np.einsum("tk,tk->t", errors, errors)
     header = (
         ["t"]
         + _coord_headers(fw.n, fw.d)
@@ -134,7 +130,7 @@ def _write_trajectory_csv(scenario: Scenario, traj, path: Path) -> None:
     def block(lo: int) -> np.ndarray:
         rows = slice(lo, lo + step)
         states = traj.states[rows] + fw.positions if traj.kind == "lti" else traj.states[rows]
-        return np.column_stack([traj.times[rows], states, errors[rows], potential[rows]])
+        return np.column_stack([traj.times[rows], states, traj.edge_errors[rows], traj.potential[rows]])
 
     _write_csv_blocks(path, header, map(block, range(0, len(traj.times), step)))
 

@@ -50,7 +50,6 @@ EDGE_BLOCK_CELLS = 1 << 15
 
 __all__ = [
     "Trajectory",
-    "EdgeErrorSeries",
     "ImpulseOutcome",
     "ControllablePlane",
     "simulate_nonlinear",
@@ -60,7 +59,6 @@ __all__ = [
     "rbm_motion_from_coords",
     "shape_recovery_experiment",
     "controllable_plane",
-    "edge_error_series",
     "sweep_impulse_angles",
 ]
 
@@ -70,9 +68,9 @@ class Trajectory:
     """Uniformly sampled states of one simulation run.
 
     ``states`` holds absolute configurations for the nonlinear flow and
-    deviations from the reference for the linearized model; ``edge_errors``
-    holds the matching notion of edge error (exact squared-length errors,
-    or the linearized ``R @ deviation``).
+    deviations from the reference for the linearized model. For both kinds,
+    ``edge_errors`` holds the exact squared-length errors of the absolute
+    configurations and ``potential`` half their squared norm per row.
     """
 
     kind: str  # "nonlinear" | "lti"
@@ -80,7 +78,6 @@ class Trajectory:
     states: np.ndarray  # (T, n*d)
     edge_errors: np.ndarray  # (T, m)
     potential: np.ndarray  # (T,)
-    framework_key: bytes
 
     def tail_state(self) -> np.ndarray:
         """Mean state over the trailing ``TAIL_FRACTION`` of samples."""
@@ -91,14 +88,6 @@ def _tail_mean(rows: np.ndarray) -> np.ndarray:
     """Mean over the trailing ``TAIL_FRACTION`` of the rows, at least one."""
     k = max(1, int(round(TAIL_FRACTION * len(rows))))
     return rows[-k:].mean(axis=0)
-
-
-@dataclass(frozen=True)
-class EdgeErrorSeries:
-    """Exact and (when available) linearized edge-error time series."""
-
-    exact: np.ndarray
-    linearized: np.ndarray | None
 
 
 def _edge_errors_of_states(fw: Framework, states: np.ndarray, r_star: np.ndarray) -> np.ndarray:
@@ -170,14 +159,13 @@ def _integrate(rhs, y0: np.ndarray, settings: SimSettings) -> np.ndarray:
     return states
 
 
-def _trajectory(kind: str, fw: Framework, states, errors, settings: SimSettings) -> Trajectory:
+def _trajectory(kind: str, states, errors, settings: SimSettings) -> Trajectory:
     return Trajectory(
         kind=kind,
         times=np.arange(len(states)) * settings.dt,
         states=states,
         edge_errors=errors,
         potential=0.5 * np.einsum("tk,tk->t", errors, errors),
-        framework_key=fw.content_key(),
     )
 
 
@@ -210,7 +198,7 @@ def simulate_nonlinear(fw: Framework, p0, settings: SimSettings = SimSettings())
         raise ValidationError(f"state length: expected {fw.n * fw.d}, got {start.size}")
     r_star = rigidity_function(fw, fw.positions)
     states = _integrate(_gradient_rhs(fw, r_star), start, settings)
-    return _trajectory("nonlinear", fw, states, _edge_errors_of_states(fw, states, r_star), settings)
+    return _trajectory("nonlinear", states, _edge_errors_of_states(fw, states, r_star), settings)
 
 
 def _modal_powers(sys: LinearizedSystem, settings: SimSettings) -> np.ndarray:
@@ -228,8 +216,7 @@ def simulate_lti(sys: LinearizedSystem, dp0, settings: SimSettings = SimSettings
 
     An impulse of direction ``w0`` and magnitude ``s`` corresponds to the
     initial deviation ``B @ w0 * s``. Edge errors along the trajectory are
-    the linearized ones; :func:`edge_error_series` also provides the exact
-    variant.
+    the exact ones of the absolute configurations ``reference + deviation``.
     """
     start = np.asarray(dp0, dtype=float).ravel()
     if start.size != sys.dim:
@@ -240,18 +227,9 @@ def simulate_lti(sys: LinearizedSystem, dp0, settings: SimSettings = SimSettings
         modal *= vec.T @ start
         states = modal @ vec.T
     _raise_if_non_finite(states, settings)
-    return _trajectory("lti", sys.framework, states, states @ sys.rigidity.entries.T, settings)
-
-
-def edge_error_series(fw: Framework, traj: Trajectory) -> EdgeErrorSeries:
-    """Exact (and for linearized runs also first-order) edge-error series."""
-    if traj.framework_key != fw.content_key():
-        raise ValidationError("trajectory was produced by a different framework")
-    if traj.kind == "nonlinear":
-        return EdgeErrorSeries(exact=traj.edge_errors, linearized=None)
-    r_star = rigidity_function(fw, fw.positions)
-    exact = _edge_errors_of_states(fw, traj.states + fw.positions, r_star)
-    return EdgeErrorSeries(exact=exact, linearized=traj.edge_errors)
+    fw = sys.framework
+    errors = _edge_errors_of_states(fw, states + fw.positions, rigidity_function(fw, fw.positions))
+    return _trajectory("lti", states, errors, settings)
 
 
 def steady_state(sys: LinearizedSystem, w0, magnitude: float = 1.0) -> np.ndarray:

@@ -36,7 +36,6 @@ from .rigidity import (
     skew_generators,
 )
 from .subspaces import (
-    _ORTHO_CHECK,
     DEFAULT_TOL,
     Subspace,
     contains,
@@ -67,15 +66,15 @@ __all__ = [
 class LinearizedSystem:
     """LTI model of the gradient dynamics around the reference configuration.
 
-    Owns the one eigendecomposition of ``A``, which the simulations and
-    every hidden-mode report read, the reports' pinned coefficients and
-    the rigid-body basis. Its tolerances are those of ``rigidity``.
+    Reads the eigenpairs of ``A = -R^T R`` off the one SVD of ``R`` that
+    ``rigidity`` caches; the simulations and every hidden-mode report read
+    them, the reports' pinned coefficients and the rigid-body basis. ``A``
+    itself is built only when read. Its tolerances are those of ``rigidity``.
     """
 
     rigidity: RigidityMatrix
     actuator: int
     sensor: int
-    A: np.ndarray  # (nd, nd), symmetric negative semidefinite
     B: np.ndarray  # (nd, d)
     C: np.ndarray  # (d, nd)
     _pinned: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -86,21 +85,30 @@ class LinearizedSystem:
 
     @property
     def dim(self) -> int:
-        return self.A.shape[0]
+        return self.rigidity.shape[1]
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """Stiffness matrix ``-R^T R``, (nd, nd), symmetric negative semidefinite."""
+        gram = self.rigidity.entries.T @ self.rigidity.entries
+        return -0.5 * (gram + gram.T)  # symmetrize so A == A.T holds exactly
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``eigh`` of ``A`` (ascending eigenvalues, eigenvectors), computed once."""
-        lam, vec = np.linalg.eigh(self.A)
+        """Eigenvalues of ``A`` ascending and their orthonormal eigenvectors,
+        read-only: with ``R = U diag(s) V^T``, ``-s**2`` padded with zeros to
+        nd, and the columns of ``V``."""
+        _, s, vt = self.rigidity.svd
+        lam = np.zeros(self.dim)
+        lam[: s.size] = -(s**2)
         lam.setflags(write=False)
-        vec.setflags(write=False)
-        return lam, vec
+        return lam, vt.T
 
     @cached_property
     def eigen_groups(self) -> tuple[tuple[float, np.ndarray], ...]:
         """Eigenvalue groups of ``A`` (see :func:`eigenspaces`), computed once;
         the zero group is the flex space at the system's rank cutoff."""
-        return tuple(eigenspaces(*self.spectrum, flex_space(self.rigidity).basis))
+        return tuple(eigenspaces(*self.spectrum, self.rigidity.rank))
 
     @cached_property
     def rbm(self) -> RbmBasis:
@@ -146,53 +154,39 @@ class LinearizedSystem:
 def linearize(
     fw: Framework, actuator: int, sensor: int, tol: ToleranceOverrides = ToleranceOverrides()
 ) -> LinearizedSystem:
-    """Stiffness matrix ``-R^T R`` with input/output selectors at two nodes;
+    """Stiffness model ``-R^T R`` with input/output selectors at two nodes;
     every report on the system uses the tolerances ``tol``."""
     for node, name in ((actuator, "actuator"), (sensor, "sensor")):
         if not (0 <= node < fw.n):
             raise ValidationError(f"{name}: node index {node} out of range for n={fw.n}")
     rm = rigidity_matrix(fw, tol=tol)
-    gram = rm.entries.T @ rm.entries
-    a = -0.5 * (gram + gram.T)  # symmetrize so A == A.T holds exactly
     d = fw.d
     b = np.zeros((fw.n * d, d))
     b[actuator * d : (actuator + 1) * d, :] = np.eye(d)
     c = np.zeros((d, fw.n * d))
     c[:, sensor * d : (sensor + 1) * d] = np.eye(d)
-    return LinearizedSystem(rigidity=rm, actuator=actuator, sensor=sensor, A=a, B=b, C=c)
+    return LinearizedSystem(rigidity=rm, actuator=actuator, sensor=sensor, B=b, C=c)
 
 
-def eigenspaces(lam: np.ndarray, vec: np.ndarray, flex: np.ndarray) -> list[tuple[float, np.ndarray]]:
+def eigenspaces(lam: np.ndarray, vec: np.ndarray, rank: int) -> list[tuple[float, np.ndarray]]:
     """Eigenvalue groups of the stiffness matrix ``A = -R^T R``, ascending,
-    from its ``eigh`` (``lam``, ``vec``).
+    from its eigenpairs (``lam``, ``vec``) as :attr:`LinearizedSystem.spectrum`
+    reads them off the SVD of R.
 
-    The last group is the zero eigenspace ker R, spanned by the orthonormal
-    ``flex`` from the SVD of R: ``eigh`` resolves eigenvectors only to about
-    ``eps * max|lambda|`` over their eigenvalue gap, too coarsely to keep
-    the slowest deformations of an ill-conditioned framework apart from the
-    rigid-body motions. The other eigenvectors are projected off ``flex``,
-    and consecutive eigenvalues among them closer than
+    Among the first ``rank`` eigenvalues, consecutive ones closer than
     ``EIG_GROUP_RTOL * max|lambda|`` share one eigenspace, since the pinning
-    analysis must act on whole eigenspaces. A projected group whose columns
-    are no longer orthonormal to ``_ORTHO_CHECK`` is replaced by the left
-    singular vectors of its span; every other group keeps ``eigh``'s columns.
+    analysis must act on whole eigenspaces. The last group is the zero
+    eigenspace ker R, the remaining columns of ``vec``: the flex space at
+    the rank cutoff. Every group is a slice of the orthonormal ``vec``.
     """
-    nonzero = lam.size - flex.shape[1]
-    vec = vec[:, :nonzero]
-    vec = vec - flex @ (flex.T @ vec)
-    vec.setflags(write=False)
     gap = EIG_GROUP_RTOL * float(np.abs(lam).max())
     groups = []
     start = 0
-    for k in range(1, nonzero + 1):
-        if k == nonzero or lam[k] - lam[k - 1] > gap:
-            basis = vec[:, start:k]
-            if np.abs(basis.T @ basis - np.eye(k - start)).max() > _ORTHO_CHECK:
-                basis = np.linalg.svd(basis, full_matrices=False)[0]
-                basis.setflags(write=False)
-            groups.append((float(lam[start:k].mean()), basis))
+    for k in range(1, rank + 1):
+        if k == rank or lam[k] - lam[k - 1] > gap:
+            groups.append((float(lam[start:k].mean()), vec[:, start:k]))
             start = k
-    groups.append((float(lam[nonzero:].mean()), flex))
+    groups.append((float(lam[rank:].mean()), vec[:, rank:]))
     return groups
 
 

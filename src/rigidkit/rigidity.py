@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .framework import Framework, ToleranceOverrides, ValidationError
-from .subspaces import DEFAULT_TOL, Subspace, _default_rank_tol, nullspace, orthonormalize
+from .subspaces import DEFAULT_TOL, Subspace, _default_rank_tol, orthonormalize
 
 FLEXIBLE = "flexible"
 INFINITESIMALLY_RIGID = "infinitesimally_rigid"
@@ -46,10 +46,11 @@ __all__ = [
 class RigidityMatrix:
     """Jacobian of the rigidity function at a configuration.
 
-    Owns the one SVD of its entries and the run's tolerances: the rank at
-    the cutoff ``tol.rank`` (scale-aware by default), which the flex space,
-    the deformation space, the classification and the zero eigenspace of
-    ``A = -R^T R`` all read, and the subspace tolerance ``subspace_tol``.
+    Owns the one SVD of its entries, which also gives the eigenpairs of
+    ``A = -R^T R``, and the run's tolerances: the rank at the cutoff
+    ``tol.rank`` (scale-aware by default), which the flex space, the
+    deformation space, the classification, the self-stresses and the zero
+    eigenspace of ``A`` all read, and the subspace tolerance ``subspace_tol``.
     """
 
     entries: np.ndarray  # (m, n*d)
@@ -201,9 +202,11 @@ def flex_space(rm: RigidityMatrix) -> Subspace:
 
 
 def self_stress_space(rm: RigidityMatrix) -> Subspace:
-    """Self-stresses: the numerical nullspace of the transposed rigidity
-    matrix, from an SVD of its own (the cached U spans it in another basis)."""
-    return nullspace(rm.entries.T, rank_tol=rm.tol.rank, tol=rm.subspace_tol)
+    """Self-stresses: the nullspace of the transposed rigidity matrix at the
+    run's rank ``rm.rank``, from an SVD of its own (the cached U spans it in
+    another basis)."""
+    vt = np.linalg.svd(rm.entries.T, full_matrices=True)[2]
+    return Subspace(basis=vt[rm.rank :].T, tol=rm.subspace_tol)
 
 
 def deformation_space(rm: RigidityMatrix) -> Subspace:

@@ -1,10 +1,12 @@
 """Command-line runner: artifacts, exit codes, determinism, --check."""
 
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -118,12 +120,20 @@ def test_malformed_field_exits_2(tmp_path, capsys, overrides, field):
 
 @pytest.mark.parametrize("scenario", [triangle_scenario_dict, case_study_scenario_dict, lattice_scenario_dict])
 def test_decompositions_computed_once_per_run(tmp_path, monkeypatch, scenario):
-    """``modes`` runs one eigh of A and builds R, R_i, T_i and the
-    classification once each, and fewer than 50 subspaces in all (none per
-    eigenvalue group: the n = 120 lattice has 238 groups); ``analyze`` one
-    SVD each of R and R^T and one of the rigid-body rotation generators;
-    ``dichotomy`` with a sweep and the nonlinear run builds R once, runs one
-    eigh of A, one SVD of R and one of the rotation generators."""
+    """``modes`` runs no eigh (A's eigenpairs come from the SVD of R) and
+    builds R, R_i, T_i and the classification once each, and fewer than 50
+    subspaces in all (none per eigenvalue group: the n = 120 lattice has 238
+    groups); ``analyze`` one SVD each of R and R^T and one of the rigid-body
+    rotation generators; ``dichotomy`` with a sweep and the nonlinear run
+    builds R once, runs no eigh, one SVD of R and one of the rotation
+    generators.
+
+    Every rigidkit module is imported before anything is patched: a module
+    first imported under the patch would keep the counting wrapper of this
+    case after ``monkeypatch`` undoes it, and a later case would count into
+    a stale dict."""
+    for info in pkgutil.iter_modules(rk.__path__):
+        importlib.import_module(f"rigidkit.{info.name}")
     built = ("rigidity_matrix", "classify_rigidity", "global_rotation_subspace", "local_rotation_subspace")
     counts = dict.fromkeys(("eigh", "svd", *built), 0)
     subspaces = []  # one entry per Subspace built
@@ -158,12 +168,12 @@ def test_decompositions_computed_once_per_run(tmp_path, monkeypatch, scenario):
         return dict(counts)
 
     modes = counted_run("modes")
-    assert modes["eigh"] == 1 and all(modes[name] == 1 for name in built), modes
+    assert modes["eigh"] == 0 and all(modes[name] == 1 for name in built), modes
     assert len(subspaces) < 50, len(subspaces)
     no_rotations = {"classify_rigidity": 1, "global_rotation_subspace": 0, "local_rotation_subspace": 0}
     assert counted_run("analyze") == {"eigh": 0, "svd": 3, "rigidity_matrix": 1, **no_rotations}
     dichotomy = counted_run("dichotomy", "--sweep", 8, "--nonlinear", "--t-end", 2)
-    assert dichotomy == {"eigh": 1, "svd": 2, "rigidity_matrix": 1, **no_rotations}
+    assert dichotomy == {"eigh": 0, "svd": 2, "rigidity_matrix": 1, **no_rotations}
 
 
 def test_invariant_violation_exits_2(tmp_path, capsys):
@@ -408,6 +418,22 @@ def test_rank_cutoff_governs_zero_eigenspace(tmp_path):
             checks["uncontrollable_split"]["rbm_component_dim"]
             == checks["existence_bound"]["uncontrollable_rbm_dim"]
         )
+
+
+def test_subspace_dims_add_up_at_every_singular_value_cutoff(tmp_path):
+    """A rank cutoff equal to a singular value of R counts that value as
+    zero in every subspace at once: rank + self-stresses = m and flexes +
+    deformations = nd, with the rank that ``report.json`` records."""
+    path = DEMO_SCENARIOS / "square_diagonal.json"
+    rm = rk.rigidity_matrix(rk.load_scenario(path).framework)
+    for k, cutoff in enumerate(rm.svd[1].tolist()):
+        out = tmp_path / str(k)
+        assert run(["analyze", path, "--out", out, "--tol-rank", repr(cutoff)]) == EXIT_OK
+        report = load_json(out / "report.json")
+        dims = report["dims"]
+        assert report["rank"] + dims["self_stress"] == report["edge_count"], (cutoff, report)
+        assert dims["flex"] + dims["deformation"] == report["state_dim"], (cutoff, report)
+        assert report["rank"] == dims["deformation"], (cutoff, report)
 
 
 def test_env_var_output_dir(tmp_path, triangle_file, monkeypatch):
@@ -759,10 +785,13 @@ def test_subspaces_json_streams_without_building_its_text(lattice_run, tmp_path)
 
 def whole_trajectory_table(scenario, traj) -> np.ndarray:
     """The trajectory table as ``_write_trajectory_csv`` built it before it
-    wrote in row blocks: all columns stacked at once. Kept as its oracle."""
+    wrote in row blocks: all columns stacked at once, the exact edge errors
+    one ``rigidity_function`` call per row. Kept as its oracle."""
     fw = scenario.framework
     positions = traj.states + fw.positions if traj.kind == "lti" else traj.states
-    errors = rk.edge_error_series(fw, traj).exact
+    r_star = rk.rigidity_function(fw, fw.positions)
+    # column-major like the trajectory's, so each row of the potential sums in the same order
+    errors = np.array([rk.rigidity_function(fw, row) - r_star for row in positions], order="F")
     potential = 0.5 * np.einsum("tk,tk->t", errors, errors)
     return np.column_stack([traj.times, positions, errors, potential])
 
@@ -825,7 +854,7 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, triangle_file):
 
 # the names ``rigidkit/__init__.py`` imported eagerly from its modules
 PACKAGE_EXPORTS = """
-    controllable_plane edge_error_series rbm_coefficients rbm_motion_from_coords
+    controllable_plane rbm_coefficients rbm_motion_from_coords
     shape_recovery_experiment simulate_lti simulate_nonlinear steady_state sweep_impulse_angles
     Framework Scenario ScenarioParseError SimSettings ToleranceOverrides ValidationError block
     load_scenario save_scenario scenario_to_dict
@@ -1071,8 +1100,8 @@ def fuzzed_scenarios(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=fuzzed_scenarios(), command=st.sampled_from(["analyze", "modes", "dichotomy"]))
-# a far agent: eigh leaks 1e-6 of ker R into the slowest deformation, which
-# is then no longer orthonormal once projected off it (exit 3)
+# a far agent: max |lambda| about 1.7e6 and a slowest deformation close to
+# ker R, which exited 3 when the eigenvectors of A came from an eigh of A
 @example(data=case_study_scenario_dict(positions=[[0.0, 0.0], [1.0, 0.0], [323.0, 1.0], [0.0, 1.0]]), command="modes")
 @example(data=triangle_scenario_dict(sim={"dt": 0.01, "t_end": math.inf}), command="dichotomy")
 @example(data=triangle_scenario_dict(sim={"dt": 1e-3, "t_end": 1e300}), command="dichotomy")

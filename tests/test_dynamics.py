@@ -593,23 +593,36 @@ def test_uncontrollable_coordinates_reconstruct_pinned_motion():
     assert rk.principal_angles(rk.orthonormalize([motion]), rot).max() < 1e-10
 
 
+def exact_edge_errors(fw, configurations):
+    """Squared-length errors of each absolute configuration, one
+    ``rigidity_function`` call per row."""
+    r_star = rk.rigidity_function(fw, fw.positions)
+    return np.array([rk.rigidity_function(fw, row) - r_star for row in configurations])
+
+
 def test_edge_error_series_equilibrium_and_translation():
+    """The edge errors of a linearized trajectory are the exact ones of the
+    absolute configurations: zero at rest, and zero for a dyadic translation,
+    whose squared edge lengths cancel exactly in floating point."""
     fw = square_with_diagonal()
     sys = rk.linearize(fw, 0, 2)
-    hold = rk.simulate_lti(sys, np.zeros(8), rk.SimSettings(dt=0.01, t_end=0.5))
-    series = rk.edge_error_series(fw, hold)
-    assert np.abs(series.exact).max() == 0.0
-    assert np.abs(series.linearized).max() == 0.0
+    settings = rk.SimSettings(dt=0.01, t_end=0.5)
+    hold = rk.simulate_lti(sys, np.zeros(8), settings)
+    assert np.abs(hold.edge_errors).max() == 0.0
+    assert np.abs(hold.potential).max() == 0.0
 
-    # dyadic translation: exact cancellation in floating point
     translation = np.tile([0.5, 0.25], 4)
-    errors = rk.rigidity_function(fw, fw.positions + translation) - rk.rigidity_function(
-        fw, fw.positions
-    )
-    assert np.abs(errors).max() == 0.0
+    assert np.abs(exact_edge_errors(fw, [fw.positions + translation])).max() == 0.0
+    bump = np.array([0.01, -0.02, 0.0, 0.03, -0.01, 0.0, 0.02, 0.01])
+    traj = rk.simulate_lti(sys, bump, settings)
+    assert same_bits(traj.edge_errors, exact_edge_errors(fw, traj.states + fw.positions))
+    assert np.allclose(traj.potential, 0.5 * (traj.edge_errors**2).sum(axis=1), rtol=1e-15, atol=0.0)
 
 
 def test_edge_error_series_rotational_state():
+    """A small rotation is a flex, so the linearized trajectory rests there
+    and its first-order errors ``R @ dp`` vanish; the trajectory reports the
+    exact errors, which grow as the square of the angle."""
     fw = square_with_diagonal()
     angle = 0.3
     centered = fw.points - fw.points.mean(axis=0)
@@ -622,13 +635,10 @@ def test_edge_error_series_rotational_state():
     predicted = angle**2 * np.einsum("kd,kd->k", rotated, rotated)
     assert np.abs(exact - predicted).max() < 1e-12
 
-
-def test_edge_error_series_checks_provenance():
-    fw = square_with_diagonal()
-    other = triangle()
-    traj = rk.simulate_nonlinear(fw, fw.positions, rk.SimSettings(dt=0.01, t_end=0.1))
-    with pytest.raises(rk.ValidationError, match="different framework"):
-        rk.edge_error_series(other, traj)
+    sys = rk.linearize(fw, 0, 2)
+    assert np.abs(sys.rigidity.entries @ dp).max() < 1e-12
+    traj = rk.simulate_lti(sys, dp, rk.SimSettings(dt=0.01, t_end=0.5))
+    assert np.abs(traj.edge_errors - predicted).max() < 1e-12
 
 
 def test_lyapunov_monotonicity_random_perturbations():

@@ -361,13 +361,20 @@ def test_mode_report_serializable():
     assert "eigenvalues" in payload and dumps_json(payload)
 
 
-def test_ill_conditioned_square_completes(tmp_path):
-    """With agent 3 far out at (323, 1), max |lambda| is about 1.7e6 and eigh
-    leaks enough of ker R into the slowest deformation that its projected
-    basis is no longer orthonormal to 1e-12; the analysis completes anyway."""
+def far_agent_square() -> dict:
+    """The demo square with agent 3 far out at (323, 1): max |lambda| is
+    about 1.7e6, so the slowest deformation lies close to ker R."""
     data = json.loads((DEMO_SCENARIOS / "square_diagonal.json").read_text(encoding="utf-8"))
     data["positions"][2] = [323.0, 1.0]
-    path = write_scenario(tmp_path / "far.json", data)
+    return data
+
+
+def test_ill_conditioned_square_completes(tmp_path):
+    """With agent 3 far out at (323, 1), max |lambda| is about 1.7e6. An
+    ``eigh`` of the formed A would leak about 1e-6 of ker R into the slowest
+    deformation; the eigenvectors read off the SVD of R keep the two apart,
+    and the analysis completes."""
+    path = write_scenario(tmp_path / "far.json", far_agent_square())
     assert main(["modes", path, "--out", str(tmp_path / "run")]) == EXIT_OK
     scenario = rk.load_scenario(path)
     fw, sys = scenario.framework, system_of(scenario)
@@ -468,6 +475,57 @@ def test_node_block_forms_match_intersections_on_lattice(tmp_path):
     scenario = rk.load_scenario(write_scenario(tmp_path / "lattice.json", lattice_scenario_dict()))
     sys = system_of(scenario)
     assert node_block_verdicts(sys) == intersection_verdicts(sys)
+
+
+# ------------------------------------------ SVD-derived spectrum vs eigh of A
+
+
+def assert_spectrum_matches_eigh(sys):
+    """The eigenpairs of A read off the SVD of R, against ``eigh`` of the
+    formed A: eigenvalues within 1e-12 max|lambda|; each group's basis
+    orthonormal to 1e-13; and, for a group whose eigenvalues stand more than
+    1e-6 max|lambda| from the rest, its orthogonal projector equal to that of
+    eigh's columns within the sin-theta bound of Davis & Kahan (1970): both
+    decompositions are backward stable, so the two subspaces differ by about
+    nd eps max|lambda| over the gap."""
+    lam = sys.spectrum[0]
+    ref_lam, ref_vec = np.linalg.eigh(sys.A)
+    scale = np.abs(ref_lam).max()
+    assert np.abs(lam - ref_lam).max() <= 1e-12 * scale
+    start = 0
+    for _, basis in sys.eigen_groups:
+        stop = start + basis.shape[1]
+        assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() <= 1e-13
+        gaps = []  # to the neighbouring eigenvalues outside the group
+        if start > 0:
+            gaps.append(lam[start] - lam[start - 1])
+        if stop < lam.size:
+            gaps.append(lam[stop] - lam[stop - 1])
+        gap = min(gaps, default=np.inf)
+        if gap > 1e-6 * scale:
+            ref = ref_vec[:, start:stop]
+            bound = 4 * lam.size * np.finfo(float).eps * max(1.0, scale / gap)
+            assert np.abs(basis @ basis.T - ref @ ref.T).max() <= bound, (start, stop, gap / scale)
+        start = stop
+    assert start == lam.size
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=frameworks_with_node())
+def test_spectrum_matches_eigh(case):
+    fw, node = case
+    event(f"d={fw.d}")
+    assert_spectrum_matches_eigh(rk.linearize(fw, node, 0))
+
+
+@pytest.mark.parametrize("name", ["triangle", "four_cycle", "square_diagonal", "lattice", "far_agent"])
+def test_spectrum_matches_eigh_on_examples(tmp_path, name):
+    if name in ("lattice", "far_agent"):
+        data = lattice_scenario_dict() if name == "lattice" else far_agent_square()
+        path = write_scenario(tmp_path / f"{name}.json", data)
+    else:
+        path = DEMO_SCENARIOS / f"{name}.json"
+    assert_spectrum_matches_eigh(system_of(rk.load_scenario(path)))
 
 
 # --------------------------------------- coefficient ranks vs ambient subspaces
