@@ -49,7 +49,7 @@ for nbr in fw.neighbors(actuator):
 # ------------------------------------------------------------- full reports
 
 report = rk.classify_modes(sys)
-print("\nfour-way mode split:", report.four_way)
+print("\nfour-way mode split:", report["four_way"])
 
 checks = rk.hidden_mode_checks(sys)
 print("existence bound:", checks["existence_bound"])

@@ -333,7 +333,7 @@ def cmd_modes(args) -> int:
                 "uncontrollable_equals_unobservable": bool(
                     contains(unctrl, unobs) and contains(unobs, unctrl)
                 ),
-                "mode_report": report.to_dict(),
+                "mode_report": report,
                 "checks": checks,
             },
             out_dir / "modes.json",

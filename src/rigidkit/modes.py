@@ -40,7 +40,6 @@ from .subspaces import (
     Subspace,
     contains,
     direct_sum_check,
-    intersect,
     orthonormalize,
     principal_angles,
 )
@@ -50,8 +49,6 @@ EIG_GROUP_RTOL = 1e-7
 __all__ = [
     "EIG_GROUP_RTOL",
     "LinearizedSystem",
-    "EigenspaceModes",
-    "ModeReport",
     "linearize",
     "eigenspaces",
     "global_rotation_subspace",
@@ -118,7 +115,9 @@ class LinearizedSystem:
     def pinned_coeffs(self, nodes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
         """Per eigenvalue group, the coefficients c whose combination
         ``basis @ c`` vanishes at every node in ``nodes`` (up to the subspace
-        tolerance); computed once per ``nodes``."""
+        tolerance); computed once per set of nodes, so pinning at ``(i, i)``
+        is pinning at ``(i,)``."""
+        nodes = tuple(sorted(set(nodes)))
         if nodes not in self._pinned:
             d = self.framework.d
             tol = self.rigidity.subspace_tol
@@ -140,15 +139,17 @@ class LinearizedSystem:
         """Modes that no input at the actuated node can reach, computed once.
 
         Per eigenvalue group, keeps the part of the eigenspace whose block at
-        the actuator vanishes, then sums the (mutually orthogonal) pieces.
+        the actuator vanishes. The pieces are orthonormal and mutually
+        orthogonal, so their columns, in group order, are the basis: the
+        pinned part of the zero eigenspace comes last.
         """
-        return orthonormalize(np.hstack(self._pinned_pieces(self.actuator)), tol=self.rigidity.subspace_tol)
+        return Subspace(np.hstack(self._pinned_pieces(self.actuator)), self.rigidity.subspace_tol)
 
     @cached_property
     def unobservable(self) -> Subspace:
         """Modes invisible at the measured node, computed once; dual of
         :attr:`uncontrollable`."""
-        return orthonormalize(np.hstack(self._pinned_pieces(self.sensor)), tol=self.rigidity.subspace_tol)
+        return Subspace(np.hstack(self._pinned_pieces(self.sensor)), self.rigidity.subspace_tol)
 
 
 def linearize(
@@ -280,81 +281,20 @@ def _angles_list(s1: Subspace, s2: Subspace) -> list[float]:
     return [float(a) for a in principal_angles(s1, s2)]
 
 
-@dataclass(frozen=True)
-class EigenspaceModes:
-    """Dimensions of the four-way controllability/observability split of
-    one eigenspace.
-
-    The doubly hidden part collects eigenvectors pinned at both nodes; the
-    "uncontrollable but observable" part is its orthogonal complement
-    inside the pinned-at-actuator part (dually for the sensor), and the
-    rest of the eigenspace is controllable and observable. Each field is
-    the dimension of its part, an int; the four add up to the eigenspace
-    dimension.
-    """
-
-    eigenvalue: float
-    multiplicity: int
-    controllable_observable: int
-    uncontrollable_observable: int
-    controllable_unobservable: int
-    uncontrollable_unobservable: int
-
-    def dims(self) -> dict:
-        return {
-            "controllable_observable": self.controllable_observable,
-            "uncontrollable_observable": self.uncontrollable_observable,
-            "controllable_unobservable": self.controllable_unobservable,
-            "uncontrollable_unobservable": self.uncontrollable_unobservable,
-        }
-
-
-@dataclass(frozen=True)
-class ModeReport:
-    """Eigenvalues of the linearized system with their hidden-mode split."""
-
-    actuator: int
-    sensor: int
-    groups: tuple[EigenspaceModes, ...]
-
-    @property
-    def four_way(self) -> dict:
-        totals = {
-            "controllable_observable": 0,
-            "uncontrollable_observable": 0,
-            "controllable_unobservable": 0,
-            "uncontrollable_unobservable": 0,
-        }
-        for g in self.groups:
-            for key, val in g.dims().items():
-                totals[key] += val
-        return totals
-
-    @property
-    def state_dim(self) -> int:
-        return sum(g.multiplicity for g in self.groups)
-
-    def to_dict(self) -> dict:
-        return {
-            "actuator": self.actuator + 1,
-            "sensor": self.sensor + 1,
-            "eigenvalues": [
-                {"value": g.eigenvalue, "multiplicity": g.multiplicity, "dims": g.dims()}
-                for g in self.groups
-            ],
-            "four_way": self.four_way,
-            "state_dim": self.state_dim,
-        }
-
-
-def classify_modes(sys: LinearizedSystem) -> ModeReport:
+def classify_modes(sys: LinearizedSystem) -> dict:
     """Split every eigenspace into the four controllability/observability
-    categories by pinning at the actuator and sensor nodes.
+    categories by pinning at the actuator and sensor nodes; the JSON-ready
+    ``mode_report`` of ``modes.json``, nodes 1-based.
 
-    Each dimension is a rank in the eigenspace's orthonormal coefficients:
-    a pinned part minus its overlap with the doubly hidden part, and the
-    visible part is what the two pinned parts together leave of the
-    eigenspace (rank counted as :func:`orthonormalize` counts it)."""
+    The doubly hidden part of an eigenspace collects the eigenvectors pinned
+    at both nodes; the uncontrollable-but-observable part is its orthogonal
+    complement inside the part pinned at the actuator (dually for the
+    sensor), and the rest is controllable and observable. Each dimension is
+    a rank in the eigenspace's orthonormal coefficients: a pinned part minus
+    its overlap with the doubly hidden part, and the visible part is what
+    the two pinned parts together leave of the eigenspace (rank counted as
+    :func:`orthonormalize` counts it). The four dimensions of an eigenspace
+    add up to its multiplicity, and ``four_way`` sums them over all."""
     groups = []
     for (lam, basis), nc, no, nh in zip(
         sys.eigen_groups,
@@ -363,49 +303,56 @@ def classify_modes(sys: LinearizedSystem) -> ModeReport:
         sys.pinned_coeffs((sys.actuator, sys.sensor)),
     ):
         r = basis.shape[1]
-        groups.append(
-            EigenspaceModes(
-                eigenvalue=lam,
-                multiplicity=r,
-                controllable_observable=r - _rank(np.hstack([nc, no]), DEFAULT_TOL, relative=True),
-                uncontrollable_observable=nc.shape[1] - _rank(nc.T @ nh, 1e-12),
-                controllable_unobservable=no.shape[1] - _rank(no.T @ nh, 1e-12),
-                uncontrollable_unobservable=nh.shape[1],
-            )
-        )
-    return ModeReport(actuator=sys.actuator, sensor=sys.sensor, groups=tuple(groups))
+        dims = {
+            "controllable_observable": r - _rank(np.hstack([nc, no]), DEFAULT_TOL, relative=True),
+            "uncontrollable_observable": nc.shape[1] - _rank(nc.T @ nh, 1e-12),
+            "controllable_unobservable": no.shape[1] - _rank(no.T @ nh, 1e-12),
+            "uncontrollable_unobservable": nh.shape[1],
+        }
+        groups.append({"value": lam, "multiplicity": r, "dims": dims})
+    # the zero eigenspace is always a group, possibly of multiplicity 0
+    return {
+        "actuator": sys.actuator + 1,
+        "sensor": sys.sensor + 1,
+        "eigenvalues": groups,
+        "four_way": {key: sum(g["dims"][key] for g in groups) for key in groups[0]["dims"]},
+        "state_dim": sum(g["multiplicity"] for g in groups),
+    }
 
 
-def _split_section(sys: LinearizedSystem, u: Subspace, deform: Subspace) -> dict:
-    """Split the uncontrollable subspace ``u`` into its rigid-body and
-    deforming parts, eigenspace by eigenspace.
+def _uncontrollable_parts(sys: LinearizedSystem) -> tuple[Subspace, Subspace]:
+    """The deforming and rigid-body parts of the uncontrollable subspace U,
+    read off its columns: the leading ones are the pinned pieces of the
+    decaying eigenspaces, the trailing ``k0`` ones the pinned piece of the
+    zero eigenspace, ``k0`` being that group's pinned count. The second part
+    is U ∩ ker R."""
+    u, tol = sys.uncontrollable, sys.rigidity.subspace_tol
+    split = u.dim - sys.pinned_coeffs((sys.actuator,))[-1].shape[1]
+    return Subspace(u.basis[:, :split], tol), Subspace(u.basis[:, split:], tol)
 
-    The rigid-body part is the pinned portion of the zero eigenspace; the
-    deforming part sums the pinned portions of all decaying eigenspaces.
-    The two are orthogonal and together give the whole uncontrollable
-    subspace, which the section verifies. The plain set intersection of the
-    deformation space ``deform`` with the pinned ambient subspace is also
-    reported: it can be strictly larger because it may mix eigenspaces. A
-    unit vector ``deform.basis @ c`` lies within ``|block @ c|`` of the
-    pinned subspace, ``block`` being the basis rows at the actuator, so the
-    intersection has dimension ``deform.dim - rank(block)``.
+
+def _split_section(sys: LinearizedSystem, u_def: Subspace, u_rbm: Subspace, deform: Subspace) -> dict:
+    """Report the split of the uncontrollable subspace U into its deforming
+    part ``u_def`` and its rigid-body part ``u_rbm`` (see
+    :func:`_uncontrollable_parts`).
+
+    The two are orthogonal and together give U, which the section verifies.
+    The plain set intersection of the deformation space ``deform`` with the
+    pinned ambient subspace is also reported: it can be strictly larger
+    because it may mix eigenspaces. A unit vector ``deform.basis @ c`` lies
+    within ``|block @ c|`` of the pinned subspace, ``block`` being the basis
+    rows at the actuator, so the intersection has dimension
+    ``deform.dim - rank(block)``.
     """
-    tol = sys.rigidity.subspace_tol
-    pieces = sys._pinned_pieces(sys.actuator)
-    # the zero eigenspace of the negative semidefinite A is the last group
-    rbm_part = orthonormalize(pieces[-1], tol=tol, ambient_dim=sys.dim)
-    def_part = orthonormalize([v for p in pieces[:-1] for v in p.T], tol=tol, ambient_dim=sys.dim)
-
+    u = sys.uncontrollable
     block = deform.basis[_block_rows(sys.actuator, sys.framework.d)]
-    pinned_deform_dim = _null_coeffs(block, tol).shape[1]
-
     return {
         "uncontrollable_dim": u.dim,
-        "rbm_component_dim": rbm_part.dim,
-        "deformation_component_dim": def_part.dim,
-        "direct_sum_holds": direct_sum_check(rbm_part, def_part, u),
-        "component_principal_angles": _angles_list(rbm_part, def_part),
-        "ambient_deformation_intersection_dim": pinned_deform_dim,
+        "rbm_component_dim": u_rbm.dim,
+        "deformation_component_dim": u_def.dim,
+        "direct_sum_holds": direct_sum_check(u_rbm, u_def, u),
+        "component_principal_angles": _angles_list(u_rbm, u_def),
+        "ambient_deformation_intersection_dim": deform.dim - _rank(block, sys.rigidity.subspace_tol),
     }
 
 
@@ -415,6 +362,7 @@ def _specializations(
     u: Subspace,
     r_g: Subspace,
     t: Subspace,
+    rotation_in_local: bool,
     flex: Subspace,
     tol: float,
 ) -> dict:
@@ -427,7 +375,8 @@ def _specializations(
     deformation space: the ``t.basis @ c`` with ``flex.basis.T @ t.basis @ c``
     zero, since the deformation space is the complement of ``flex``. For a
     complete graph with n >= d+1: compares the local and global rotation
-    subspaces. Verdicts are recorded, not asserted.
+    subspaces, given whether ``t`` contains ``r_g``. Verdicts are recorded,
+    not asserted.
     """
     rigid: dict = {"applicable": classification != FLEXIBLE, "classification": classification}
     if rigid["applicable"]:
@@ -447,13 +396,11 @@ def _specializations(
 
     complete: dict = {"applicable": fw.is_complete() and fw.n >= fw.d + 1}
     if complete["applicable"]:
-        local_contains = contains(t, r_g)
-        reverse = contains(r_g, t)
         complete.update(
             {
                 "local_rotation_dim": t.dim,
                 "global_rotation_dim": r_g.dim,
-                "equal": local_contains and reverse,
+                "equal": rotation_in_local and contains(r_g, t),
                 "principal_angles": _angles_list(t, r_g),
             }
         )
@@ -470,21 +417,22 @@ def hidden_mode_checks(sys: LinearizedSystem) -> dict:
     verdicts into a JSON-ready report.
 
     Each object is built once and read by every section: the uncontrollable
-    subspace U (cached on ``sys``), the rotation subspace R_i and the local
-    rotation subspace T_i about the actuated node, the classification, and
-    the flex and deformation spaces. The comparison of U with T_i reports
-    both containment directions with principal angles; no equality is
-    asserted, because for generic sparse frameworks the two need not
-    coincide.
+    subspace U (cached on ``sys``) and its rigid-body part U ∩ ker R and
+    deforming part, both slices of U's columns; the rotation subspace R_i
+    and the local rotation subspace T_i about the actuated node, and whether
+    T_i contains R_i; the classification; and the flex and deformation
+    spaces. The comparison of U with T_i reports both containment directions
+    with principal angles; no equality is asserted, because for generic
+    sparse frameworks the two need not coincide.
     """
     fw, tol = sys.framework, sys.rigidity.subspace_tol
     flex = flex_space(sys.rigidity)
     deform = deformation_space(sys.rigidity)
     u = sys.uncontrollable
+    u_def, u_rbm = _uncontrollable_parts(sys)
     r_g = global_rotation_subspace(fw, sys.actuator, tol)
     t = local_rotation_subspace(fw, sys.actuator, tol)
-    # U ∩ ker R; the split section reaches it independently, as the pinned zero group
-    u_rbm = intersect(u, flex)
+    rotation_in_local = contains(t, r_g)
     classification = classify_rigidity(sys.rigidity)
     rigid = classification != FLEXIBLE
 
@@ -513,9 +461,9 @@ def hidden_mode_checks(sys: LinearizedSystem) -> dict:
         "rotation_inclusion": {
             "global_rotation_dim": r_g.dim,
             "local_rotation_dim": t.dim,
-            "holds": contains(t, r_g),
+            "holds": rotation_in_local,
         },
-        "uncontrollable_split": _split_section(sys, u, deform),
+        "uncontrollable_split": _split_section(sys, u_def, u_rbm, deform),
         "uncontrollable_vs_local_rotation": {
             "uncontrollable_dim": u.dim,
             "local_rotation_dim": t.dim,
@@ -524,5 +472,5 @@ def hidden_mode_checks(sys: LinearizedSystem) -> dict:
             "equal": local_contains and reverse,
             "principal_angles": _angles_list(u, t),
         },
-        "specializations": _specializations(fw, classification, u, r_g, t, flex, tol),
+        "specializations": _specializations(fw, classification, u, r_g, t, rotation_in_local, flex, tol),
     }

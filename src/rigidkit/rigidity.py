@@ -76,10 +76,15 @@ class RigidityMatrix:
 
     @cached_property
     def rank(self) -> int:
-        """Number of singular values above the rank cutoff, computed once."""
+        """Number of singular values above the rank cutoff, computed once.
+        The d translations are exact flexes, so a ``tol.rank`` that gives a
+        rank above ``nd - d`` counts rounding noise and is refused."""
         s = self.svd[1]
         cutoff = _default_rank_tol(s, self.shape) if self.tol.rank is None else self.tol.rank
-        return int(np.sum(s > cutoff))
+        rank, most = int(np.sum(s > cutoff)), self.shape[1] - self.framework.d
+        if self.tol.rank is not None and rank > most:
+            raise ValidationError(f"tol.rank: cutoff {cutoff!r} gives rank {rank}, above nd - d = {most}")
+        return rank
 
     @property
     def subspace_tol(self) -> float:

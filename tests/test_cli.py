@@ -123,10 +123,12 @@ def test_decompositions_computed_once_per_run(tmp_path, monkeypatch, scenario):
     """``modes`` runs no eigh (A's eigenpairs come from the SVD of R) and
     builds R, R_i, T_i and the classification once each, and fewer than 50
     subspaces in all (none per eigenvalue group: the n = 120 lattice has 238
-    groups); ``analyze`` one SVD each of R and R^T and one of the rigid-body
-    rotation generators; ``dichotomy`` with a sweep and the nonlinear run
-    builds R once, runs no eigh, one SVD of R and one of the rotation
-    generators.
+    groups) and, on that lattice, whose actuator is its sensor, fewer than
+    300 SVDs: one pinning per group, not one per group for each of the node
+    sets (i,) and (i, i); ``analyze`` one SVD each of R and R^T and one of
+    the rigid-body rotation generators; ``dichotomy`` with a sweep and the
+    nonlinear run builds R once, runs no eigh, one SVD of R and one of the
+    rotation generators.
 
     Every rigidkit module is imported before anything is patched: a module
     first imported under the patch would keep the counting wrapper of this
@@ -169,6 +171,8 @@ def test_decompositions_computed_once_per_run(tmp_path, monkeypatch, scenario):
 
     modes = counted_run("modes")
     assert modes["eigh"] == 0 and all(modes[name] == 1 for name in built), modes
+    if scenario is lattice_scenario_dict:
+        assert modes["svd"] < 300, modes
     assert len(subspaces) < 50, len(subspaces)
     no_rotations = {"classify_rigidity": 1, "global_rotation_subspace": 0, "local_rotation_subspace": 0}
     assert counted_run("analyze") == {"eigh": 0, "svd": 3, "rigidity_matrix": 1, **no_rotations}
@@ -434,6 +438,28 @@ def test_subspace_dims_add_up_at_every_singular_value_cutoff(tmp_path):
         assert report["rank"] + dims["self_stress"] == report["edge_count"], (cutoff, report)
         assert dims["flex"] + dims["deformation"] == report["state_dim"], (cutoff, report)
         assert report["rank"] == dims["deformation"], (cutoff, report)
+
+
+@pytest.mark.parametrize("route", ["flag", "scenario"])
+@pytest.mark.parametrize("command", ["analyze", "modes", "dichotomy"])
+def test_rank_cutoff_below_rounding_exits_2(tmp_path, capsys, command, route):
+    """The d translations of a framework are exact flexes, so its rank is at
+    most nd - d. A planar K5 (rank 7, m = 10 edges) under a cutoff of 1e-300
+    counts the rounding noise of R as rank 10: every command refuses it with
+    one line naming ``tol.rank``, from the flag as from the scenario."""
+    angles = 2 * np.pi * np.arange(5) / 5
+    data = triangle_scenario_dict(
+        n=5,
+        positions=np.column_stack([np.cos(angles), np.sin(angles) + 0.1 * angles]).tolist(),
+        edges=[[i, j] for i in range(1, 6) for j in range(i + 1, 6)],
+    )
+    flags = ["--tol-rank", 1e-300] if route == "flag" else []
+    if route == "scenario":
+        data["tol"] = {"rank": 1e-300}
+    path = write_scenario(tmp_path / "k5.json", data)
+    assert run([command, path, "--out", tmp_path / "run", *flags]) == EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: tol.rank: "), err
 
 
 def test_env_var_output_dir(tmp_path, triangle_file, monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import rigidkit as rk
 from rigidkit.cli import EXIT_OK, main
+from rigidkit.modes import _uncontrollable_parts
 
 from conftest import (
     complete_k4,
@@ -315,9 +316,9 @@ def test_specialization_report_gating():
 def test_classify_modes_triangle():
     sys = rk.linearize(triangle(), 0, 1)
     report = rk.classify_modes(sys)
-    assert report.state_dim == 6
-    assert sum(report.four_way.values()) == 6
-    assert report.four_way == {
+    assert report["state_dim"] == 6
+    assert sum(report["four_way"].values()) == 6
+    assert report["four_way"] == {
         "controllable_observable": 4,
         "uncontrollable_observable": 1,
         "controllable_unobservable": 1,
@@ -334,12 +335,12 @@ def test_classify_modes_triangle():
 def test_classify_modes_same_node():
     sys = rk.linearize(square_with_diagonal(), 0, 0)
     report = rk.classify_modes(sys)
-    assert report.four_way["uncontrollable_observable"] == 0
-    assert report.four_way["controllable_unobservable"] == 0
+    assert report["four_way"]["uncontrollable_observable"] == 0
+    assert report["four_way"]["controllable_unobservable"] == 0
     unctrl = sys.uncontrollable
     unobs = sys.unobservable
     assert rk.contains(unctrl, unobs) and rk.contains(unobs, unctrl)
-    assert report.four_way["uncontrollable_unobservable"] == unctrl.dim
+    assert report["four_way"]["uncontrollable_unobservable"] == unctrl.dim
 
 
 def test_classify_modes_dimensions_tile_random():
@@ -348,12 +349,11 @@ def test_classify_modes_dimensions_tile_random():
         fw = random_rigid_framework(rng, int(rng.integers(4, 8)), 2)
         i, j = rng.integers(fw.n, size=2)
         report = rk.classify_modes(rk.linearize(fw, int(i), int(j)))
-        assert sum(report.four_way.values()) == fw.n * fw.d
+        assert sum(report["four_way"].values()) == fw.n * fw.d
 
 
 def test_mode_report_serializable():
-    report = rk.classify_modes(rk.linearize(triangle(), 0, 1))
-    payload = report.to_dict()
+    payload = rk.classify_modes(rk.linearize(triangle(), 0, 1))
     assert payload["actuator"] == 1 and payload["sensor"] == 2  # 1-based exterior
     assert sum(payload["four_way"].values()) == 6
     from rigidkit.jsonio import dumps_json
@@ -378,7 +378,7 @@ def test_ill_conditioned_square_completes(tmp_path):
     assert main(["modes", path, "--out", str(tmp_path / "run")]) == EXIT_OK
     scenario = rk.load_scenario(path)
     fw, sys = scenario.framework, system_of(scenario)
-    assert sum(rk.classify_modes(sys).four_way.values()) == fw.n * fw.d == 8
+    assert sum(rk.classify_modes(sys)["four_way"].values()) == fw.n * fw.d == 8
     rot = rk.global_rotation_subspace(fw, sys.actuator)
     assert sys.uncontrollable.dim == rot.dim
     assert rk.principal_angles(sys.uncontrollable, rot).max() < 1e-8
@@ -564,7 +564,7 @@ def ambient_four_way(sys) -> list[dict]:
 
 
 def assert_four_way_matches_ambient(sys):
-    dims = [g.dims() for g in rk.classify_modes(sys).groups]
+    dims = [g["dims"] for g in rk.classify_modes(sys)["eigenvalues"]]
     assert dims == [{name: sub.dim for name, sub in g.items()} for g in ambient_four_way(sys)]
 
 
@@ -585,3 +585,59 @@ def test_coefficient_ranks_match_ambient_split_on_demos(name):
 def test_coefficient_ranks_match_ambient_split_on_lattice(tmp_path):
     scenario = rk.load_scenario(write_scenario(tmp_path / "lattice.json", lattice_scenario_dict()))
     assert_four_way_matches_ambient(system_of(scenario))
+
+
+# ------------------------------- U's column slices vs ambient constructions
+
+
+def ambient_uncontrollable_parts(sys) -> dict:
+    """U and its parts made as before U's column slices replaced them: U
+    orthonormalized from the pinned pieces, U ∩ ker R as an ambient
+    intersection with the flex space, and the rigid-body and deforming parts
+    each orthonormalized from their pieces. Kept as their oracle."""
+    tol = sys.rigidity.subspace_tol
+    pieces = sys._pinned_pieces(sys.actuator)
+    u = rk.orthonormalize(np.hstack(pieces), tol=tol)
+    return {
+        "u": u,
+        "u_cap_ker_r": rk.intersect(u, rk.flex_space(sys.rigidity)),
+        "rbm": rk.orthonormalize(pieces[-1], tol=tol, ambient_dim=sys.dim),
+        "deforming": rk.orthonormalize([v for p in pieces[:-1] for v in p.T], tol=tol, ambient_dim=sys.dim),
+    }
+
+
+def assert_parts_match_ambient(sys):
+    """Each part has the dimension of its reference and the two contain each
+    other within ``tol.subspace``; the report's dimensions are those parts'."""
+    u_def, u_rbm = _uncontrollable_parts(sys)
+    ref = ambient_uncontrollable_parts(sys)
+    for new, old in [(sys.uncontrollable, "u"), (u_rbm, "u_cap_ker_r"), (u_rbm, "rbm"), (u_def, "deforming")]:
+        assert new.dim == ref[old].dim, old
+        assert rk.contains(new, ref[old]) and rk.contains(ref[old], new), old
+    checks = rk.hidden_mode_checks(sys)
+    split = checks["uncontrollable_split"]
+    assert split["uncontrollable_dim"] == split["rbm_component_dim"] + split["deformation_component_dim"]
+    assert (split["rbm_component_dim"], split["deformation_component_dim"]) == (u_rbm.dim, u_def.dim)
+    assert checks["existence_bound"]["uncontrollable_rbm_dim"] == ref["u_cap_ker_r"].dim
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=frameworks_with_node())
+def test_uncontrollable_parts_match_ambient(case):
+    fw, node = case
+    event(f"d={fw.d}")
+    assert_parts_match_ambient(rk.linearize(fw, node, 0))
+
+
+@pytest.mark.parametrize("name", ["triangle", "four_cycle", "square_diagonal"])
+def test_uncontrollable_parts_match_ambient_on_demos(name):
+    scenario = rk.load_scenario(DEMO_SCENARIOS / f"{name}.json")
+    for node in range(scenario.framework.n):
+        assert_parts_match_ambient(rk.linearize(scenario.framework, node, scenario.sensor, scenario.tol))
+
+
+@pytest.mark.parametrize("name", ["lattice", "far_agent"])
+def test_uncontrollable_parts_match_ambient_on_examples(tmp_path, name):
+    data = lattice_scenario_dict() if name == "lattice" else far_agent_square()
+    path = write_scenario(tmp_path / f"{name}.json", data)
+    assert_parts_match_ambient(system_of(rk.load_scenario(path)))
