@@ -23,6 +23,7 @@ import itertools
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -58,6 +59,11 @@ CHECK_RTOL = 1e-9
 CHECK_ATOL = 1e-12
 # fields formatted per write of a CSV file
 CSV_CHUNK_CELLS = 1 << 14
+# largest float64 table, in bytes, that dichotomy may build: the trajectory's
+# (steps + 1) x nd states, or the sweep's N x max(nd, m) rows. A run holds a
+# few tables of that size at once (states, g**k, edge errors), so larger
+# sizes are refused before anything is allocated or written.
+ARRAY_BUDGET_BYTES = 1 << 30
 
 __all__ = ["main", "EXIT_OK", "EXIT_INPUT", "EXIT_NUMERICAL"]
 
@@ -343,11 +349,24 @@ def cmd_modes(args) -> int:
     return _run_command(args, "modes", runner)
 
 
+def _check_budget(what: str, rows: int, cols: int) -> None:
+    size = rows * cols * 8
+    if size > ARRAY_BUDGET_BYTES:
+        raise ValidationError(
+            f"{what}: {rows} x {cols} floats take {size} bytes, over the budget of {ARRAY_BUDGET_BYTES}"
+        )
+
+
 def cmd_dichotomy(args) -> int:
-    from .dynamics import shape_recovery_experiment, sweep_impulse_angles
+    from .dynamics import _steps, shape_recovery_experiment, sweep_impulse_angles
     from .modes import linearize
 
+    if args.sweep < 0:
+        raise ValidationError(f"--sweep: the number of angles must be 0 or positive, got {args.sweep}")
     scenario = _apply_overrides(load_scenario(args.scenario), args)
+    fw = scenario.framework
+    _check_budget("trajectory", _steps(scenario.sim) + 1, fw.n * fw.d)
+    _check_budget("sweep", args.sweep, max(fw.n * fw.d, fw.m))
 
     def runner(out_dir: Path) -> list[str]:
         sys_ = linearize(scenario.framework, scenario.actuator, scenario.sensor, scenario.tol)
@@ -494,9 +513,17 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def entry() -> None:
     """Run :func:`main` as a process: the ``rigidkit`` command and
     ``python -m rigidkit.cli``.
+
+    A warning, such as the flexible-framework notice of ``dichotomy``, is
+    printed as the one line ``warning: <message>``, without the source
+    location Python adds by default.
 
     Once stdout and stderr are flushed the process ends with ``os._exit``,
     skipping the interpreter's teardown of numpy and rigidkit. Nothing is
@@ -505,6 +532,7 @@ def entry() -> None:
     ``SystemExit`` included) and a flush that fails take the normal way out,
     so Python reports the failed flush without a traceback and exits 120.
     """
+    warnings.formatwarning = _format_warning
     code = main()
     try:
         for stream in (sys.stdout, sys.stderr):

@@ -24,6 +24,17 @@ The nonlinear flow stops stepping at the first step that returns its input
 bit for bit: the step map is a pure function of the state, so every later
 row equals that one and is copied, and the trajectory is the one a full
 stepped run gives.
+
+The nonlinear step makes few numpy calls, since at small n their fixed
+cost is the step's cost: the edge vectors are gathered straight from the
+flat state, the pulls go into one reused weights buffer for one
+``bincount``, and the RK4 stages are summed in place. Its bits are those of
+the plain expressions (``pts[i] - pts[j]``, ``concatenate([-pull, pull])``,
+``y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``): it makes the same
+IEEE operations on the same operands in the same order, a doubling made as
+``k + k`` being ``2.0 * k`` exactly. The squared edge lengths stay an
+``einsum``, whose sums round differently from ``(diff * diff).sum(1)`` for
+d >= 3 and from ``vecdot`` and matmul for any d.
 """
 
 from __future__ import annotations
@@ -111,16 +122,28 @@ def _edge_errors_of_states(fw: Framework, states: np.ndarray, r_star: np.ndarray
 
 
 def _stepper(rhs, dt: float, method: str):
-    """One step of ``method`` ("rk4" or "euler", checked by SimSettings)."""
+    """One step of ``method`` ("rk4" or "euler", checked by SimSettings).
+
+    The RK4 stages are summed in place, in the order of
+    ``y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)`` and with its bits;
+    ``k + k`` is ``2.0 * k`` exactly. ``rhs`` must return a new array.
+    """
     if method == "euler":
         return lambda y: y + dt * rhs(y)
+    half, sixth = 0.5 * dt, dt / 6.0
 
     def step(y):
         k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
+        k2 = rhs(y + half * k1)
+        k3 = rhs(y + half * k2)
         k4 = rhs(y + dt * k3)
-        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 += k2
+        k1 += k2
+        k3 += k3
+        k1 += k3
+        k1 += k4
+        k1 *= sixth
+        return y + k1
 
     return step
 
@@ -145,16 +168,19 @@ def _integrate(rhs, y0: np.ndarray, settings: SimSettings) -> np.ndarray:
     ``-0.0 == 0.0`` and the next step may tell them apart.
     """
     states = np.empty((_steps(settings) + 1, y0.size))
-    states[0] = y0
+    states[0] = y = y0
+    bits = y0.tobytes()
     step = _stepper(rhs, settings.dt, settings.method)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, len(states)):
-            if not np.isfinite(states[k - 1]).all():
+            if not np.isfinite(y).all():
                 break  # the rows left unset follow the first non-finite one
-            states[k] = step(states[k - 1])
-            if states[k].tobytes() == states[k - 1].tobytes():
-                states[k + 1 :] = states[k]
+            states[k] = y = step(y)
+            new_bits = y.tobytes()
+            if new_bits == bits:
+                states[k + 1 :] = y
                 break
+            bits = new_bits
     _raise_if_non_finite(states, settings)
     return states
 
@@ -173,20 +199,29 @@ def _gradient_rhs(fw: Framework, r_star: np.ndarray):
     """Right-hand side of the gradient flow, assembled edge by edge.
 
     Algebraically identical to ``-R(p)^T (r(p) - r_star)``; the test suite
-    checks the two forms against each other. One ``bincount`` adds the
-    pulls into each coordinate in edge order, first at the edges' first
-    ends, then at their second ends.
+    checks the two forms against each other. The edge vectors are gathered
+    straight from the flat state through precomputed coordinate indices,
+    and the pulls are written into one reused weights buffer, ``-pull`` at
+    the edges' first ends, then ``pull`` at their second ends, which one
+    ``bincount`` adds into each coordinate in that order. The pull is
+    ``(2.0 * err) * diff``: ``2.0 * (err * diff)`` rounds differently where
+    the product is subnormal. The result is float64 even without edges,
+    where ``bincount`` gives int64 zeros.
     """
-    idx_i, idx_j = fw.edge_ends.T
-    n, d = fw.n, fw.d
-    slots = (np.concatenate([idx_i, idx_j])[:, None] * d + np.arange(d)).ravel()
+    n, d, m = fw.n, fw.d, fw.m
+    ends = fw.edge_ends.T[:, :, None] * d + np.arange(d)  # (2, m, d) flat coordinates
+    at_i, at_j = ends
+    slots = ends.ravel()
+    weights = np.empty((2, m, d))
+    neg_pull, pull = weights
+    flat_weights = weights.ravel()
 
     def rhs(p):
-        pts = p.reshape(n, d)
-        diff = pts[idx_i] - pts[idx_j]
+        diff = p.take(at_i) - p.take(at_j)
         err = np.einsum("kd,kd->k", diff, diff) - r_star
-        pull = 2.0 * err[:, None] * diff
-        return np.bincount(slots, np.concatenate([-pull, pull]).ravel(), minlength=n * d)
+        np.multiply((2.0 * err)[:, None], diff, out=pull)
+        np.negative(pull, out=neg_pull)
+        return np.bincount(slots, flat_weights, minlength=n * d).astype(float, copy=False)
 
     return rhs
 

@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 import rigidkit as rk
 from rigidkit import dynamics
@@ -148,6 +150,97 @@ def stepped_nonlinear(fw, p0, settings):
                 y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             states.append(y)
     return np.array(states)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_gradient_rhs_of_edgeless_framework_is_float_zero(d):
+    """``bincount`` of no weights gives int64 zeros; the right-hand side is
+    float64 zeros all the same, so an in-place float step can take it."""
+    fw = rk.Framework.from_points(np.arange(3.0 * d).reshape(3, d), [])
+    p = fw.positions + 0.5
+    out = _gradient_rhs(fw, np.zeros(0))(p)
+    assert out.dtype == np.float64
+    assert same_bits(out, add_at_rhs(fw, np.zeros(0))(p))
+    assert same_bits(out, np.zeros(3 * d))
+
+
+def flow_case(points, edges, seed, scale, method, dt, steps):
+    """(framework, start, settings) of one nonlinear flow: the points
+    displaced by ``scale`` times a seeded normal draw."""
+    fw = rk.Framework.from_points(points, edges)
+    p0 = fw.positions + scale * np.random.default_rng(seed).normal(size=fw.positions.size)
+    return fw, p0, rk.SimSettings(dt=dt, t_end=steps * dt, method=method)
+
+
+@st.composite
+def random_frameworks(draw, size=1.0):
+    """d in {2, 3}, n <= 8, any set of edges (none and one included), the
+    points a seeded normal draw times ``size``; and the seed."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    return size * np.random.default_rng([seed, 1]).normal(size=(n, d)), edges, seed
+
+
+@st.composite
+def flow_cases(draw):
+    points, edges, seed = draw(random_frameworks())
+    return flow_case(
+        points,
+        edges,
+        seed,
+        draw(st.sampled_from([0.0, 1e-3, 0.3])),
+        draw(st.sampled_from(["rk4", "euler"])),
+        draw(st.sampled_from([0.01, 0.05, 0.1])),
+        draw(st.integers(1, 80)),
+    )
+
+
+# one stiff edge: the flow reaches a bitwise fixed point at step 40 of 80
+SETTLING_FLOW = flow_case([[0.0, 0.0], [1.0, 0.0]], [(0, 1)], 0, 1e-3, "rk4", 0.1, 80)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(flow_cases())
+@example(flow_case(np.arange(6.0).reshape(3, 2), [], 1, 0.3, "rk4", 0.05, 10))
+@example(flow_case([[0.0, 0.0, 0.0], [1.0, 2.0, 0.5]], [(0, 1)], 2, 0.3, "euler", 0.05, 20))
+@example(SETTLING_FLOW)
+def test_simulate_nonlinear_matches_stepped_oracle(flow):
+    """Same bits as the method stepped on the ``np.add.at`` right-hand side,
+    for every step count, start and method, with or without edges; a run
+    that overflows names the oracle's first non-finite step."""
+    fw, p0, settings = flow
+    expected = stepped_nonlinear(fw, p0, settings)
+    bad = np.flatnonzero(~np.isfinite(expected).all(axis=1))
+    if bad.size:
+        event("overflow")
+        with pytest.raises(rk.NumericalError, match=rf"^non-finite state at step {bad[0]} "):
+            rk.simulate_nonlinear(fw, p0, settings)
+        return
+    event("stationary tail" if expected[-1].tobytes() == expected[-2].tobytes() else "moving")
+    assert same_bits(rk.simulate_nonlinear(fw, p0, settings).states, expected)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([1.0, 1e-103, 1e100]).flatmap(random_frameworks), st.sampled_from([0.0, 1e-3, 0.3]))
+def test_gradient_rhs_matches_add_at_form_at_any_size(case, scale):
+    """Same bits as the ``np.add.at`` form also where the pulls are
+    subnormal (points at 1e-103) or overflow (at 1e100), where a product
+    taken in another order, ``2.0 * (err * diff)`` say, rounds differently."""
+    points, edges, seed = case
+    fw = rk.Framework.from_points(points, edges)
+    r_star = rk.rigidity_function(fw, fw.positions)
+    p = fw.positions * (1.0 + scale * np.random.default_rng(seed).normal(size=fw.positions.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_bits(_gradient_rhs(fw, r_star)(p), add_at_rhs(fw, r_star)(p))
+
+
+def test_settling_flow_reaches_its_stationary_tail():
+    fw, p0, settings = SETTLING_FLOW
+    states = stepped_nonlinear(fw, p0, settings)
+    assert states[40].tobytes() == states[-1].tobytes() != states[39].tobytes()
 
 
 def counted_simulation(monkeypatch, fw, p0, settings):
