@@ -39,7 +39,7 @@ print("\nframework        rank  flex  stress  deform  class")
 for name, f in frameworks.items():
     r = rk.rigidity_matrix(f)
     print(
-        f"{name:16s} {rk.rigidity_rank(r):4d}"
+        f"{name:16s} {r.rank:4d}"
         f"  {rk.flex_space(r).dim:4d}"
         f"  {rk.self_stress_space(r).dim:6d}"
         f"  {rk.deformation_space(r).dim:6d}"

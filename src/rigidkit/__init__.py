@@ -26,9 +26,9 @@ _EXPORTS = {
             global_rotation_subspace hidden_mode_checks linearize local_rotation_subspace""",
         "rigidity": """FLEXIBLE INFINITESIMALLY_RIGID MINIMALLY_RIGID RIGID_WITH_REDUNDANCY
             RigidityMatrix classify_rigidity deformation_space flex_space rbm_basis
-            rigidity_function rigidity_matrix rigidity_rank self_stress_space""",
-        "subspaces": """DEFAULT_TOL NumericalError Subspace contains direct_sum_check intersect
-            nullspace orthonormalize principal_angles project""",
+            rigidity_function rigidity_matrix self_stress_space""",
+        "subspaces": """DEFAULT_TOL NumericalError Subspace contains direct_sum_check
+            orthonormalize principal_angles project""",
     }.items()
     for name in names.split()
 }

@@ -47,7 +47,6 @@ from .rigidity import (
     flex_space,
     rbm_basis,
     rigidity_matrix,
-    rigidity_rank,
     self_stress_space,
 )
 
@@ -59,10 +58,11 @@ CHECK_RTOL = 1e-9
 CHECK_ATOL = 1e-12
 # fields formatted per write of a CSV file
 CSV_CHUNK_CELLS = 1 << 14
-# largest float64 table, in bytes, that dichotomy may build: the trajectory's
-# (steps + 1) x nd states, or the sweep's N x max(nd, m) rows. A run holds a
-# few tables of that size at once (states, g**k, edge errors), so larger
-# sizes are refused before anything is allocated or written.
+# largest float64 table, in bytes, that a run may build: max(m, nd)^2 for R
+# and the factors U (m x m) and V^T (nd x nd) of its SVD; for dichotomy also
+# a trajectory's (steps + 1) x max(nd, m) states or edge errors, and the
+# sweep's N x max(nd, m) rows. A run holds a few tables of that size at once,
+# so larger sizes are refused before anything is allocated or written.
 ARRAY_BUDGET_BYTES = 1 << 30
 
 __all__ = ["main", "EXIT_OK", "EXIT_INPUT", "EXIT_NUMERICAL"]
@@ -141,7 +141,14 @@ def _write_trajectory_csv(scenario: Scenario, traj, path: Path) -> None:
     _write_csv_blocks(path, header, map(block, range(0, len(traj.times), step)))
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
+def _load_scenario(args) -> Scenario:
+    """The scenario file with the flags' overrides applied, refused with
+    ``ValidationError`` when its rigidity matrix or the factors of its SVD
+    would not fit in ``ARRAY_BUDGET_BYTES``."""
+    scenario = load_scenario(args.scenario)
+    fw = scenario.framework
+    side = max(fw.m, fw.n * fw.d)
+    _check_budget("rigidity matrix SVD", side, side)
     sim = scenario.sim
     if getattr(args, "dt", None) is not None:
         sim = replace(sim, dt=args.dt)
@@ -265,7 +272,7 @@ def _run_command(args, command: str, runner) -> int:
 
 
 def cmd_analyze(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = _load_scenario(args)
     fw = scenario.framework
 
     def runner(out_dir: Path) -> list[str]:
@@ -297,7 +304,7 @@ def cmd_analyze(args) -> int:
                 "command": "analyze",
                 "scenario": scenario_to_dict(scenario),
                 "classification": classify_rigidity(rm),
-                "rank": rigidity_rank(rm),
+                "rank": rm.rank,
                 "edge_count": fw.m,
                 "state_dim": fw.n * fw.d,
                 "dims": {
@@ -319,7 +326,7 @@ def cmd_analyze(args) -> int:
 def cmd_modes(args) -> int:
     from .modes import classify_modes, hidden_mode_checks, linearize
 
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = _load_scenario(args)
 
     def runner(out_dir: Path) -> list[str]:
         sys_ = linearize(scenario.framework, scenario.actuator, scenario.sensor, scenario.tol)
@@ -363,10 +370,11 @@ def cmd_dichotomy(args) -> int:
 
     if args.sweep < 0:
         raise ValidationError(f"--sweep: the number of angles must be 0 or positive, got {args.sweep}")
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = _load_scenario(args)
     fw = scenario.framework
-    _check_budget("trajectory", _steps(scenario.sim) + 1, fw.n * fw.d)
-    _check_budget("sweep", args.sweep, max(fw.n * fw.d, fw.m))
+    width = max(fw.n * fw.d, fw.m)  # states or exact edge errors, whichever is wider
+    _check_budget("trajectory", _steps(scenario.sim) + 1, width)
+    _check_budget("sweep", args.sweep, width)
 
     def runner(out_dir: Path) -> list[str]:
         sys_ = linearize(scenario.framework, scenario.actuator, scenario.sensor, scenario.tol)

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .framework import Framework, ToleranceOverrides, ValidationError
-from .subspaces import DEFAULT_TOL, Subspace, _default_rank_tol, orthonormalize
+from .subspaces import DEFAULT_TOL, Subspace, orthonormalize
 
 FLEXIBLE = "flexible"
 INFINITESIMALLY_RIGID = "infinitesimally_rigid"
@@ -31,7 +31,6 @@ __all__ = [
     "RbmBasis",
     "rigidity_function",
     "rigidity_matrix",
-    "rigidity_rank",
     "skew_generators",
     "rbm_basis",
     "flex_space",
@@ -40,6 +39,15 @@ __all__ = [
     "rigid_motion_dim",
     "classify_rigidity",
 ]
+
+
+def _default_rank_tol(s: np.ndarray, shape) -> float:
+    """The scale-aware rank cutoff ``max(shape) * sigma_max * eps`` of a
+    matrix of shape ``shape`` and singular values ``s``, used when the run's
+    ``tol.rank`` is ``None``; zero for an empty matrix."""
+    if s.size == 0:
+        return 0.0
+    return max(shape) * float(s[0]) * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -121,11 +129,6 @@ def rigidity_matrix(fw: Framework, p=None, tol: ToleranceOverrides = ToleranceOv
     entries[k, i] = rows
     entries[k, j] = -rows
     return RigidityMatrix(entries=entries.reshape(fw.m, fw.n * fw.d), framework=fw, tol=tol)
-
-
-def rigidity_rank(rm: RigidityMatrix) -> int:
-    """Numerical rank of the rigidity matrix at its rank cutoff."""
-    return rm.rank
 
 
 def skew_generators(d: int) -> list[np.ndarray]:

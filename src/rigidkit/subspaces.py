@@ -1,19 +1,12 @@
 """Dense subspace arithmetic.
 
 Every geometric claim in this package reduces to statements about
-subspaces: containment, intersection, orthogonality, principal angles.
-A :class:`Subspace` is an orthonormal basis matrix plus the comparison
-tolerance used when it is tested against other subspaces.
-
-Two tolerances appear throughout and are deliberately distinct:
-
-* ``rank_tol`` -- absolute singular-value cutoff used when extracting a
-  nullspace or row space from a matrix. ``None`` selects the scale-aware
-  default ``max(shape) * sigma_max * eps``.
-* ``tol`` -- comparison tolerance (default ``1e-8``) for residuals and
-  angles when subspaces are compared. Small principal angles cannot be
-  resolved through ``arccos`` of a cosine in double precision, so all
-  near-zero-angle tests here are residual (sine) based.
+subspaces: containment, orthogonality, principal angles. A
+:class:`Subspace` is an orthonormal basis matrix plus the comparison
+tolerance ``tol`` (default ``1e-8``) used for residuals and angles when it
+is tested against other subspaces. Small principal angles cannot be
+resolved through ``arccos`` of a cosine in double precision, so all
+near-zero-angle tests here are residual (sine) based.
 """
 
 from __future__ import annotations
@@ -30,10 +23,8 @@ __all__ = [
     "NumericalError",
     "Subspace",
     "orthonormalize",
-    "nullspace",
     "project",
     "principal_angles",
-    "intersect",
     "contains",
     "direct_sum_check",
 ]
@@ -80,55 +71,22 @@ class Subspace:
         return self.basis.shape[1]
 
 
-def _as_columns(vectors, ambient_dim=None) -> np.ndarray:
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        cols = np.array(vectors, dtype=float)
-    else:
-        vecs = [np.asarray(v, dtype=float).ravel() for v in vectors]
-        if not vecs:
-            if ambient_dim is None:
-                raise ValueError("ambient_dim is required for an empty vector set")
-            return np.zeros((ambient_dim, 0))
-        lengths = {v.size for v in vecs}
-        if len(lengths) != 1:
-            raise ValueError(f"vectors have mixed lengths {sorted(lengths)}")
-        cols = np.column_stack(vecs)
-    if ambient_dim is not None and cols.shape[0] != ambient_dim:
-        raise ValueError(f"expected ambient dimension {ambient_dim}, got {cols.shape[0]}")
-    return cols
-
-
-def orthonormalize(vectors, tol: float = DEFAULT_TOL, ambient_dim=None) -> Subspace:
-    """Orthonormal basis of the span; near-dependent directions are dropped.
+def orthonormalize(vectors: np.ndarray, tol: float = DEFAULT_TOL) -> Subspace:
+    """Orthonormal basis of the span of the columns of the 2-D array
+    ``vectors``; near-dependent directions are dropped.
 
     Directions whose singular value falls at or below ``tol * sigma_max``
     do not contribute to the span.
     """
-    cols = _as_columns(vectors, ambient_dim)
-    if cols.shape[1] == 0:
-        return Subspace.zero(cols.shape[0], tol)
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    if not (isinstance(vectors, np.ndarray) and vectors.ndim == 2):
+        raise ValueError(f"expected a 2-D array of columns, got {getattr(vectors, 'shape', type(vectors).__name__)}")
+    if vectors.shape[1] == 0:
+        return Subspace.zero(vectors.shape[0], tol)
+    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return Subspace.zero(cols.shape[0], tol)
+        return Subspace.zero(vectors.shape[0], tol)
     r = int(np.sum(s > tol * s[0]))
     return Subspace(basis=u[:, :r], tol=tol)
-
-
-def _default_rank_tol(s: np.ndarray, shape) -> float:
-    if s.size == 0:
-        return 0.0
-    return max(shape) * float(s[0]) * np.finfo(float).eps
-
-
-def nullspace(matrix, rank_tol: float | None = None, tol: float = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of ker(matrix) via singular value decomposition."""
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
-    cutoff = _default_rank_tol(s, a.shape) if rank_tol is None else float(rank_tol)
-    rank = int(np.sum(s > cutoff))
-    return Subspace(basis=vt[rank:].T, tol=tol)
 
 
 def project(s: Subspace, v) -> np.ndarray:
@@ -171,27 +129,6 @@ def principal_angles(s1: Subspace, s2: Subspace) -> np.ndarray:
         sines = np.linalg.svd(resid, compute_uv=False)[::-1]  # ascending, like the angles
         angles = np.where(small, np.arcsin(np.clip(sines, -1.0, 1.0)), angles)
     return np.sort(angles)
-
-
-def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    """Intersection, via principal vectors whose angle falls below tolerance.
-
-    The selection threshold acts on the angle's sine (the residual after
-    projecting one principal vector onto the other subspace), which stays
-    meaningful for angles far below the resolution of ``arccos``.
-    """
-    _check_same_ambient(s1, s2)
-    tol = max(s1.tol, s2.tol)
-    if s1.dim == 0 or s2.dim == 0:
-        return Subspace.zero(s1.ambient_dim, tol)
-    m = s1.basis.T @ s2.basis
-    _, _, vt = np.linalg.svd(m)
-    candidates = s2.basis @ vt.T  # principal vectors inside s2
-    resid = candidates - s1.basis @ (s1.basis.T @ candidates)
-    keep = np.linalg.norm(resid, axis=0) <= tol
-    if not np.any(keep):
-        return Subspace.zero(s1.ambient_dim, tol)
-    return orthonormalize(candidates[:, keep], tol=tol)
 
 
 def contains(s1: Subspace, s2: Subspace) -> bool:

@@ -1,4 +1,5 @@
-"""Shared frameworks, random framework generators, and scenario helpers."""
+"""Shared frameworks, random framework generators, scenario helpers, and the
+ambient subspace oracles."""
 
 import numpy as np
 import pytest
@@ -49,6 +50,51 @@ def two_nodes() -> rk.Framework:
 def no_edges(n: int = 3) -> rk.Framework:
     pts = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
     return rk.Framework.from_points(pts, [])
+
+
+# ------------------------------------------------- ambient subspace oracles
+#
+# The paper states its results as subspace relations (R_i in T_i, U meet
+# ker R = R_i). rigidkit computes them in eigenspace coefficients; these two
+# ambient constructions, which it once used itself, are the tests' oracles.
+
+
+def nullspace(matrix, rank_tol: float | None = None, tol: float = rk.DEFAULT_TOL) -> rk.Subspace:
+    """Orthonormal basis of ker(matrix) via singular value decomposition.
+    ``rank_tol`` is the absolute singular-value cutoff; ``None`` selects the
+    scale-aware ``max(shape) * sigma_max * eps``."""
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+    _, s, vt = np.linalg.svd(a, full_matrices=True)
+    if rank_tol is not None:
+        cutoff = float(rank_tol)
+    else:
+        cutoff = max(a.shape) * float(s[0]) * np.finfo(float).eps if s.size else 0.0
+    rank = int(np.sum(s > cutoff))
+    return rk.Subspace(basis=vt[rank:].T, tol=tol)
+
+
+def intersect(s1: rk.Subspace, s2: rk.Subspace) -> rk.Subspace:
+    """Intersection, via principal vectors whose angle falls below tolerance.
+
+    The selection threshold acts on the angle's sine (the residual after
+    projecting one principal vector onto the other subspace), which stays
+    meaningful for angles far below the resolution of ``arccos``.
+    """
+    if s1.ambient_dim != s2.ambient_dim:
+        raise ValueError(f"ambient dimensions differ: {s1.ambient_dim} vs {s2.ambient_dim}")
+    tol = max(s1.tol, s2.tol)
+    if s1.dim == 0 or s2.dim == 0:
+        return rk.Subspace.zero(s1.ambient_dim, tol)
+    m = s1.basis.T @ s2.basis
+    _, _, vt = np.linalg.svd(m)
+    candidates = s2.basis @ vt.T  # principal vectors inside s2
+    resid = candidates - s1.basis @ (s1.basis.T @ candidates)
+    keep = np.linalg.norm(resid, axis=0) <= tol
+    if not np.any(keep):
+        return rk.Subspace.zero(s1.ambient_dim, tol)
+    return rk.orthonormalize(candidates[:, keep], tol=tol)
 
 
 # ----------------------------------------------------- random rigid frameworks

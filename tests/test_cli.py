@@ -342,6 +342,48 @@ def test_dichotomy_negative_sweep_leaves_the_run_untouched(tmp_path, capsys, cas
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+
+def test_dichotomy_trajectory_budget_counts_the_edge_errors(tmp_path, capsys, monkeypatch):
+    """K6 in the plane has 15 edges against 12 coordinates, so each of the
+    101 rows of its trajectory (dt 0.02 to t 2) keeps more exact edge errors
+    than states: the trajectory's table is 101 x 15 floats."""
+    angles = np.arange(6) * np.pi / 3
+    k6 = write_scenario(
+        tmp_path / "k6.json",
+        triangle_scenario_dict(
+            n=6,
+            edges=[[i, j] for i in range(1, 7) for j in range(i + 1, 7)],
+            positions=np.column_stack([np.cos(angles), np.sin(angles)]).tolist(),
+        ),
+    )
+    out = tmp_path / "run"
+    monkeypatch.setattr(cli, "ARRAY_BUDGET_BYTES", 101 * 15 * 8 - 1)
+    code, line = refused_dichotomy(capsys, k6, out, "--dt", 0.02, "--t-end", 2)
+    assert (code, line) == (EXIT_INPUT, "error: trajectory: 101 x 15 floats take 12120 bytes, over the budget of 12119")
+    assert not out.exists()
+    monkeypatch.setattr(cli, "ARRAY_BUDGET_BYTES", 101 * 15 * 8)
+    assert run(["dichotomy", k6, "--out", out, "--dt", 0.02, "--t-end", 2]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["analyze", "modes", "dichotomy"])
+def test_rigidity_svd_over_the_budget_is_refused_before_any_write(tmp_path, capsys, monkeypatch, triangle_file, command):
+    """The triangle's R is 3 x 6 and its SVD holds U (3 x 3) and V^T (6 x 6):
+    the bound max(m, nd)^2 is 36 floats, 288 bytes, over a budget of 287."""
+    out = tmp_path / "run"
+    monkeypatch.setattr(cli, "ARRAY_BUDGET_BYTES", 287)
+    capsys.readouterr()
+    code = run([command, triangle_file, "--out", out])
+    (line,) = capsys.readouterr().err.splitlines()
+    assert (code, line) == (EXIT_INPUT, "error: rigidity matrix SVD: 6 x 6 floats take 288 bytes, over the budget of 287")
+    assert not out.exists()
+
+
+def test_rigidity_svd_budget_admits_its_exact_size(tmp_path, monkeypatch, triangle_file):
+    out = tmp_path / "run"
+    monkeypatch.setattr(cli, "ARRAY_BUDGET_BYTES", 288)
+    assert run(["analyze", triangle_file, "--out", out]) == EXIT_OK
+    assert run(["modes", triangle_file, "--out", out]) == EXIT_OK
+
 def test_plotdata_artifacts(tmp_path, case_file):
     out = tmp_path / "run"
     assert run(["dichotomy", case_file, "--out", out, "--dt", 0.02, "--t-end", 5]) == EXIT_OK
@@ -935,9 +977,9 @@ PACKAGE_EXPORTS = """
     hidden_mode_checks linearize local_rotation_subspace
     FLEXIBLE INFINITESIMALLY_RIGID MINIMALLY_RIGID RIGID_WITH_REDUNDANCY RigidityMatrix
     classify_rigidity deformation_space flex_space rbm_basis rigidity_function rigidity_matrix
-    rigidity_rank self_stress_space
-    DEFAULT_TOL NumericalError Subspace contains direct_sum_check intersect nullspace
-    orthonormalize principal_angles project
+    self_stress_space
+    DEFAULT_TOL NumericalError Subspace contains direct_sum_check orthonormalize principal_angles
+    project
 """.split()
 
 
@@ -961,6 +1003,17 @@ def test_package_exports_resolve_on_first_lookup():
     assert proc.stdout.strip() == "[]"
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         rk.not_a_name
+
+
+def test_every_export_list_names_what_its_module_defines():
+    """Each name in a rigidkit module's ``__all__`` is defined there, so
+    ``from rigidkit.<module> import *`` works and a tool that wraps every
+    name in ``__all__`` misses none; each package export is in its module's
+    ``__all__``."""
+    modules = {info.name: importlib.import_module(f"rigidkit.{info.name}") for info in pkgutil.iter_modules(rk.__path__)}
+    stale = [(name, n) for name, mod in modules.items() for n in getattr(mod, "__all__", []) if not hasattr(mod, n)]
+    assert stale == []
+    assert [n for n, module in rk._EXPORTS.items() if n not in modules[module].__all__] == []
 
 
 SHORT_SIM = {"dichotomy": ["--dt", 0.02, "--t-end", 2]}

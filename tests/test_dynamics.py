@@ -684,7 +684,7 @@ def test_uncontrollable_coordinates_reconstruct_pinned_motion():
     motion = rk.rbm_motion_from_coords(rbm, plane.normal)
     assert np.linalg.norm(rk.block(motion, 0, 2)) <= 1e-12
     rot = rk.global_rotation_subspace(fw, 0)
-    assert rk.principal_angles(rk.orthonormalize([motion]), rot).max() < 1e-10
+    assert rk.principal_angles(rk.orthonormalize(motion[:, None]), rot).max() < 1e-10
 
 
 def exact_edge_errors(fw, configurations):

@@ -15,8 +15,10 @@ from rigidkit.modes import _uncontrollable_parts
 from conftest import (
     complete_k4,
     four_cycle,
+    intersect,
     lattice_scenario_dict,
     no_edges,
+    nullspace,
     random_rigid_framework,
     square_with_diagonal,
     system_of,
@@ -37,7 +39,7 @@ def krylov_hidden(A, B):
     for _ in range(A.shape[0]):
         blocks.append(power / max(np.linalg.norm(power), 1e-300))
         power = A @ power
-    return rk.nullspace(np.hstack(blocks).T)
+    return nullspace(np.hstack(blocks).T)
 
 
 def local_rotation_constraints(fw, node):
@@ -113,7 +115,7 @@ def test_zero_group_follows_rigidity_rank():
     the rotation characterization must agree on one hidden rotation."""
     fw = random_rigid_framework(np.random.default_rng(0), 60, 2, ratio=0.0)
     sys = rk.linearize(fw, 0, 30)
-    assert rk.rigidity_rank(sys.rigidity) == 2 * fw.n - 3
+    assert sys.rigidity.rank == 2 * fw.n - 3
     assert sys.eigen_groups[-1][1].shape[1] == 3
     checks = rk.hidden_mode_checks(sys)
     split = checks["uncontrollable_split"]
@@ -220,7 +222,7 @@ def test_local_rotation_matches_constraint_nullspace(assorted_frameworks):
     for fw in assorted_frameworks:
         node = int(rng.integers(fw.n))
         t = rk.local_rotation_subspace(fw, node)
-        oracle = rk.nullspace(local_rotation_constraints(fw, node))
+        oracle = nullspace(local_rotation_constraints(fw, node))
         assert t.dim == oracle.dim
         if t.dim:
             assert rk.principal_angles(t, oracle).max() < 1e-10
@@ -409,10 +411,10 @@ def intersection_verdicts(sys) -> dict:
     fw, tol, node = sys.framework, sys.rigidity.subspace_tol, sys.actuator
     deform = rk.deformation_space(sys.rigidity)
     pinned = np.delete(np.eye(sys.dim), slice(node * fw.d, (node + 1) * fw.d), axis=1)
-    verdicts = {"ambient_deformation_intersection_dim": rk.intersect(deform, rk.Subspace(pinned, tol)).dim}
+    verdicts = {"ambient_deformation_intersection_dim": intersect(deform, rk.Subspace(pinned, tol)).dim}
     if rk.classify_rigidity(sys.rigidity) != rk.FLEXIBLE:
         r_g = rk.global_rotation_subspace(fw, node, tol)
-        t_def = rk.intersect(rk.local_rotation_subspace(fw, node, tol), deform)
+        t_def = intersect(rk.local_rotation_subspace(fw, node, tol), deform)
         overlap = 0.0
         if r_g.dim and t_def.dim:
             overlap = float(np.linalg.svd(r_g.basis.T @ t_def.basis, compute_uv=False).max())
@@ -475,6 +477,44 @@ def test_node_block_forms_match_intersections_on_lattice(tmp_path):
     scenario = rk.load_scenario(write_scenario(tmp_path / "lattice.json", lattice_scenario_dict()))
     sys = system_of(scenario)
     assert node_block_verdicts(sys) == intersection_verdicts(sys)
+
+
+# ------------------------------------- PBH vs the Kalman-Krylov span, d = 2, 3
+
+
+def krylov_span(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the Kalman span [b, a b, a^2 b, ...], grown a
+    block at a time and orthonormalized at every step so high powers of a do
+    not swamp the rank test; numpy only, like the benchmark's oracle."""
+
+    def orth(m: np.ndarray) -> np.ndarray:
+        if m.shape[1] == 0:
+            return m
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+        return u[:, s > 1e-10 * max(1.0, s[0])]
+
+    basis = orth(b)
+    for _ in range(a.shape[0]):
+        grown = orth(np.hstack([basis, a @ basis]))
+        if grown.shape[1] == basis.shape[1]:
+            break
+        basis = grown
+    return basis
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=frameworks_with_node())
+def test_hidden_subspaces_match_krylov_span(case):
+    """The PBH test (Hautus 1969) against the Kalman matrix: U is the
+    orthogonal complement of the span reachable from (A, B), and O, A being
+    symmetric, that of (A, C^T)."""
+    fw, node = case
+    event(f"d={fw.d}")
+    sys = rk.linearize(fw, node, (node + 1) % fw.n)
+    for hidden, b in [(sys.uncontrollable, sys.B), (sys.unobservable, sys.C.T)]:
+        span = krylov_span(sys.A, b)
+        assert hidden.dim == sys.dim - span.shape[1]
+        assert np.abs(span.T @ hidden.basis).max(initial=0.0) <= 1e-7
 
 
 # ------------------------------------------ SVD-derived spectrum vs eigh of A
@@ -554,7 +594,7 @@ def ambient_four_way(sys) -> list[dict]:
         r = basis.shape[1]
         both = np.hstack([nc, no]) if (nc.shape[1] or no.shape[1]) else np.zeros((r, 0))
         coeffs = {
-            "controllable_observable": _complement_coeffs(rk.orthonormalize(both, ambient_dim=r).basis, r),
+            "controllable_observable": _complement_coeffs(rk.orthonormalize(both).basis, r),
             "uncontrollable_observable": nc @ _complement_coeffs(nc.T @ nh, nc.shape[1]) if nc.shape[1] else nc,
             "controllable_unobservable": no @ _complement_coeffs(no.T @ nh, no.shape[1]) if no.shape[1] else no,
             "uncontrollable_unobservable": nh,
@@ -600,9 +640,9 @@ def ambient_uncontrollable_parts(sys) -> dict:
     u = rk.orthonormalize(np.hstack(pieces), tol=tol)
     return {
         "u": u,
-        "u_cap_ker_r": rk.intersect(u, rk.flex_space(sys.rigidity)),
-        "rbm": rk.orthonormalize(pieces[-1], tol=tol, ambient_dim=sys.dim),
-        "deforming": rk.orthonormalize([v for p in pieces[:-1] for v in p.T], tol=tol, ambient_dim=sys.dim),
+        "u_cap_ker_r": intersect(u, rk.flex_space(sys.rigidity)),
+        "rbm": rk.orthonormalize(pieces[-1], tol=tol),
+        "deforming": rk.orthonormalize(np.hstack([np.zeros((sys.dim, 0)), *pieces[:-1]]), tol=tol),
     }
 
 
