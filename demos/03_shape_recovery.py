@@ -28,14 +28,14 @@ sim = rk.SimSettings(dt=0.005, t_end=40.0)
 
 def experiment(label, w0):
     sc = rk.Scenario(framework=fw, actuator=actuator, sensor=2, w0=np.asarray(w0), sim=sim)
-    out = rk.shape_recovery_experiment(sc, sys)
+    out, _, _ = rk.shape_recovery_experiment(sc, sys)
     print(f"\n--- {label} ---")
-    print("alignment <r_i, w0>:", out.alignment)
-    print("verdict:", out.verdict)
+    print("alignment <r_i, w0>:", out["alignment"])
+    print("verdict:", out["verdict"])
     print("steady-state blocks (one row per agent):")
-    print(out.steady_state.reshape(fw.n, 2))
-    print("final exact edge errors:", out.simulated_final_edge_errors)
-    print("predicted squared lengths:", out.predicted_edge_sq_lengths)
+    print(out["steady_state"].reshape(fw.n, 2))
+    print("final exact edge errors:", out["simulated_final_edge_errors"])
+    print("predicted squared lengths:", out["predicted_edge_sq_lengths"])
     return out
 
 
@@ -44,9 +44,9 @@ experiment("orthogonal impulse (recovery)", [r_i[1], -r_i[0]])
 
 # aligned input: the rotation is excited and the shape never comes back
 out = experiment("aligned impulse (distortion)", r_i / np.linalg.norm(r_i))
-change = out.simulated_edge_sq_lengths - rk.rigidity_function(fw, fw.positions)
+r_star = rk.rigidity_function(fw, fw.positions)
 print("\nper-edge squared-length change vs rotation-angle prediction:")
-print(np.column_stack([change, out.predicted_edge_sq_lengths - rk.rigidity_function(fw, fw.positions)]))
+print(np.column_stack([out["simulated_edge_sq_lengths"] - r_star, out["predicted_edge_sq_lengths"] - r_star]))
 
 # the nonlinear flow tells a different long-run story for the aligned case:
 # the gradient controller pulls the shape back onto the target manifold
@@ -54,7 +54,7 @@ sc = rk.Scenario(
     framework=fw, actuator=actuator, sensor=2,
     w0=r_i / np.linalg.norm(r_i), sim=rk.SimSettings(dt=0.002, t_end=40.0),
 )
-nl = rk.shape_recovery_experiment(sc, sys, nonlinear=True)
+nl, _, _ = rk.shape_recovery_experiment(sc, sys, nonlinear=True)
 print("\nnonlinear comparison, aligned impulse:")
-print("  linearized final edge error:", np.abs(nl.simulated_final_edge_errors).max())
-print("  nonlinear final edge error: ", np.abs(nl.nonlinear_final_edge_errors).max())
+print("  linearized final edge error:", np.abs(nl["simulated_final_edge_errors"]).max())
+print("  nonlinear final edge error: ", np.abs(nl["nonlinear_final_edge_errors"]).max())

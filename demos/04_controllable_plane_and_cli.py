@@ -25,20 +25,20 @@ fw = rk.Framework.from_points(
 rbm = rk.rbm_basis(fw)
 plane = rk.controllable_plane(rbm, 0)
 
-print("plane normal n_c:", plane.normal)
-print("plane basis:\n", plane.plane_basis.T)
-print("recovery line (pure translations reachable without rotation):", plane.recovery_line)
+print("plane normal n_c:", plane["n_c"])
+print("plane basis:\n", plane["plane_basis"])
+print("recovery line (pure translations reachable without rotation):", plane["recovery_line"])
 
 print("\nsampled inputs stay on the plane:")
 rng = np.random.default_rng(0)
 for _ in range(5):
     w0 = rng.normal(size=2)
-    c = plane.coords(w0)
-    print(f"  w0={w0}  coords={c}  <c, n_c>={c @ plane.normal:+.2e}")
+    c = np.array([*w0, plane["rotation_at_node"] @ w0])
+    print(f"  w0={w0}  coords={c}  <c, n_c>={c @ plane['n_c']:+.2e}")
 
 # the normal's coordinates rebuild the motion the input can never excite:
 # a rotation about the actuated node (zero block there)
-motion = rk.rbm_motion_from_coords(rbm, plane.normal)
+motion = rk.rbm_motion_from_coords(rbm, plane["n_c"])
 print("\nunreachable rigid-body motion (blocks):")
 print(motion.reshape(fw.n, 2))
 

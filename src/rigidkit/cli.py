@@ -378,22 +378,22 @@ def cmd_dichotomy(args) -> int:
 
     def runner(out_dir: Path) -> list[str]:
         sys_ = linearize(scenario.framework, scenario.actuator, scenario.sensor, scenario.tol)
-        outcome = shape_recovery_experiment(scenario, sys_, nonlinear=args.nonlinear)
+        outcome, trajectory, nl_trajectory = shape_recovery_experiment(
+            scenario, sys_, nonlinear=args.nonlinear
+        )
         save_scenario(scenario, out_dir / "scenario.json")
         files = ["scenario.json", "outcome.json", "trajectory.csv"]
         dump_json(
             {
                 "command": "dichotomy",
                 "scenario": scenario_to_dict(scenario),
-                "outcome": outcome.to_dict(),
+                "outcome": outcome,
             },
             out_dir / "outcome.json",
         )
-        _write_trajectory_csv(scenario, outcome.trajectory, out_dir / "trajectory.csv")
-        if outcome.nonlinear_trajectory is not None:
-            _write_trajectory_csv(
-                scenario, outcome.nonlinear_trajectory, out_dir / "trajectory_nonlinear.csv"
-            )
+        _write_trajectory_csv(scenario, trajectory, out_dir / "trajectory.csv")
+        if nl_trajectory is not None:
+            _write_trajectory_csv(scenario, nl_trajectory, out_dir / "trajectory_nonlinear.csv")
             files.append("trajectory_nonlinear.csv")
         if args.sweep:
             table = sweep_impulse_angles(scenario, sys_, args.sweep)
@@ -450,8 +450,7 @@ def cmd_plotdata(args) -> int:
         keep = [0] + [c for c, name in enumerate(header) if name.startswith("e_")]
         _write_csv(out_dir / "edge_errors.csv", [header[c] for c in keep], data[:, keep])
 
-        plane = controllable_plane(rbm_basis(fw), scenario.actuator)
-        dump_json(plane.to_dict(), out_dir / "plane.json")
+        dump_json(controllable_plane(rbm_basis(fw), scenario.actuator), out_dir / "plane.json")
         return ["arrows_Ri.csv", "arrows_Ti.csv", "edge_errors.csv", "plane.json"]
 
     if getattr(args, "out", None) is None and "RIGIDKIT_OUT" not in os.environ:

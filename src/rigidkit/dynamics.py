@@ -11,7 +11,9 @@ rigid-body mode's local velocity at the actuated node.
 
 The recovery/distortion verdict is a first-order statement and is produced
 from the linearized model; a nonlinear comparison run is available behind
-a flag and reported without being asserted against.
+a flag and reported without being asserted against. The experiment and the
+controllable plane return the dicts that ``outcome.json`` and
+``plane.json`` hold.
 
 Only the nonlinear flow is stepped. ``A`` is symmetric, so a fixed-step
 method applied to ``x' = A x`` acts mode by mode: step k maps ``x0`` to
@@ -61,8 +63,6 @@ EDGE_BLOCK_CELLS = 1 << 15
 
 __all__ = [
     "Trajectory",
-    "ImpulseOutcome",
-    "ControllablePlane",
     "simulate_nonlinear",
     "simulate_lti",
     "steady_state",
@@ -240,8 +240,8 @@ def _modal_powers(sys: LinearizedSystem, settings: SimSettings) -> np.ndarray:
     """(steps + 1, nd) table of ``g**k``, with ``g`` one step of ``y' = lam * y``
     from ``y = 1`` for every eigenvalue ``lam`` of ``A`` at once."""
     lam = sys.spectrum[0]
-    growth = _stepper(lambda y: lam * y, settings.dt, settings.method)(np.ones_like(lam))
     with np.errstate(over="ignore", invalid="ignore"):
+        growth = _stepper(lambda y: lam * y, settings.dt, settings.method)(np.ones_like(lam))
         return growth ** np.arange(_steps(settings) + 1)[:, None]
 
 
@@ -315,109 +315,36 @@ def rbm_motion_from_coords(rbm: RbmBasis, coords) -> np.ndarray:
     return motion + c[2] * rbm.v_r
 
 
-@dataclass(frozen=True)
-class ControllablePlane:
-    """Geometry of the reachable rigid-body coordinates for one actuator.
+def controllable_plane(rbm: RbmBasis, node: int) -> dict:
+    """Plane of rigid-body coordinates reachable from a single actuator, as
+    the dict that ``plane.json`` holds.
 
-    ``normal`` is the coordinate vector of the rigid-body motion that the
-    actuator cannot excite: (-r_x, -r_y, 1) where (r_x, r_y) is the
-    rotational mode's local velocity at the node. Every reachable
-    coordinate vector (input direction paired with its rotational
-    alignment) is orthogonal to it. ``recovery_line`` spans the plane's
-    intersection with the pure-translation coordinates c_r = 0.
+    ``node`` is 1-based and ``rotation_at_node`` is (r_x, r_y), the
+    rotational mode's local velocity at the node. ``n_c`` is the coordinate
+    vector of the rigid-body motion that the actuator cannot excite,
+    (-r_x, -r_y, 1): every reachable coordinate vector ``(w_x, w_y, r . w)``
+    (an input direction paired with its rotational alignment) is orthogonal
+    to it. ``plane_basis`` holds two orthonormal rows that span that plane,
+    and ``recovery_line`` is the unit vector spanning its intersection with
+    the pure-translation coordinates c_r = 0.
     """
-
-    node: int
-    rotation_at_node: np.ndarray  # (2,)
-    normal: np.ndarray  # (3,)
-    plane_basis: np.ndarray  # (3, 2), orthonormal
-    recovery_line: np.ndarray  # (3,), unit
-
-    def coords(self, w0) -> np.ndarray:
-        """Rigid-body coordinates reached by an input direction."""
-        w = np.asarray(w0, dtype=float).ravel()
-        if w.size != 2:
-            raise ValidationError(f"w0: expected 2 entries, got {w.size}")
-        return np.array([w[0], w[1], float(self.rotation_at_node @ w)])
-
-    def to_dict(self) -> dict:
-        return {
-            "node": self.node + 1,
-            "rotation_at_node": list(self.rotation_at_node),
-            "n_c": list(self.normal),
-            "plane_basis": [list(col) for col in self.plane_basis.T],
-            "recovery_line": list(self.recovery_line),
-        }
-
-
-def controllable_plane(rbm: RbmBasis, node: int) -> ControllablePlane:
-    """Plane of rigid-body coordinates reachable from a single actuator."""
     d = rbm.translations.shape[1]
     if d != 2:
         raise ValidationError(f"controllable_plane is defined for d=2, got d={d}")
     r_i = np.array(block(rbm.v_r, node, 2))
     normal = np.array([-r_i[0], -r_i[1], 1.0])
-    plane_basis = _orthogonal_complement_of_vector(normal)
     nrm = float(np.hypot(r_i[0], r_i[1]))
     if nrm > 0.0:
         recovery_line = np.array([-r_i[1], r_i[0], 0.0]) / nrm
     else:
         recovery_line = np.array([1.0, 0.0, 0.0])
-    return ControllablePlane(
-        node=node,
-        rotation_at_node=r_i,
-        normal=normal,
-        plane_basis=plane_basis,
-        recovery_line=recovery_line,
-    )
-
-
-@dataclass(frozen=True)
-class ImpulseOutcome:
-    """Everything measured and predicted for one impulse experiment."""
-
-    w0: np.ndarray
-    magnitude: float
-    w0_is_unit: bool
-    alignment: float  # <rotation block at actuator, w0>
-    coefficients: tuple[float, float, float]
-    rotation_angle: float  # steady-state rotation angle: c_r over the rotation field norm
-    steady_state: np.ndarray
-    predicted_edge_sq_lengths: np.ndarray
-    simulated_edge_sq_lengths: np.ndarray
-    simulated_final_edge_errors: np.ndarray
-    linearized_final_edge_errors: np.ndarray
-    verdict: str  # "recovery" | "distortion" | "withheld"
-    classification: str
-    flex_excitation: float | None
-    trajectory: Trajectory
-    nonlinear_trajectory: Trajectory | None = None
-    nonlinear_final_edge_errors: np.ndarray | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "w0": list(self.w0),
-            "magnitude": self.magnitude,
-            "w0_is_unit": self.w0_is_unit,
-            "alignment": self.alignment,
-            "coefficients": {
-                "c_x": self.coefficients[0],
-                "c_y": self.coefficients[1],
-                "c_r": self.coefficients[2],
-            },
-            "rotation_angle": self.rotation_angle,
-            "steady_state": list(self.steady_state),
-            "predicted_edge_sq_lengths": list(self.predicted_edge_sq_lengths),
-            "simulated_edge_sq_lengths": list(self.simulated_edge_sq_lengths),
-            "simulated_final_edge_errors": list(self.simulated_final_edge_errors),
-            "linearized_final_edge_errors": list(self.linearized_final_edge_errors),
-            "verdict": self.verdict,
-            "classification": self.classification,
-            "flex_excitation": self.flex_excitation,
-        }
-        if self.nonlinear_final_edge_errors is not None:
-            out["nonlinear_final_edge_errors"] = list(self.nonlinear_final_edge_errors)
-        return out
+    return {
+        "node": node + 1,
+        "rotation_at_node": r_i,
+        "n_c": normal,
+        "plane_basis": _orthogonal_complement_of_vector(normal).T,
+        "recovery_line": recovery_line,
+    }
 
 
 def _check_planar_system(scenario: Scenario, sys: LinearizedSystem, what: str) -> None:
@@ -432,9 +359,20 @@ def _check_planar_system(scenario: Scenario, sys: LinearizedSystem, what: str) -
 
 def shape_recovery_experiment(
     scenario: Scenario, sys: LinearizedSystem, nonlinear: bool = False
-) -> ImpulseOutcome:
+) -> tuple[dict, Trajectory, Trajectory | None]:
     """Run one impulse experiment on ``sys``, the scenario's linearized
     system, and decide recovery vs distortion.
+
+    Returns the outcome, the linearized trajectory and, with ``nonlinear``,
+    the nonlinear one (else None). The outcome is the dict written under
+    ``"outcome"`` in ``outcome.json``: the input (``w0``, ``magnitude``,
+    ``w0_is_unit``), its ``alignment`` with the rotation block at the
+    actuator, the rigid-body ``coefficients`` it excites, the steady-state
+    ``rotation_angle`` (c_r over the norm of the rotation field), the
+    ``steady_state``, the predicted and simulated final squared edge
+    lengths, the exact and linearized final edge errors, the ``verdict``,
+    the ``classification`` and ``flex_excitation``; with ``nonlinear``,
+    ``nonlinear_final_edge_errors`` last.
 
     The verdict is "recovery" when the input direction is orthogonal to the
     rotational mode's local velocity at the actuated node (within the
@@ -445,11 +383,11 @@ def shape_recovery_experiment(
     """
     _check_planar_system(scenario, sys, "shape recovery experiment")
     fw = scenario.framework
+    rbm = sys.rbm  # a degenerate framework is refused before any warning
     classification = classify_rigidity(sys.rigidity)
     if classification == FLEXIBLE:
         warnings.warn("framework is flexible: the recovery/distortion verdict is withheld", stacklevel=2)
 
-    rbm = sys.rbm
     r_i = block(rbm.v_r, scenario.actuator, 2)
     alignment = float(r_i @ scenario.w0)
 
@@ -459,20 +397,18 @@ def shape_recovery_experiment(
 
     r_star = rigidity_function(fw, fw.positions)
     simulated_sq = _edge_errors_of_states(fw, (fw.positions + tail)[None, :], r_star)[0] + r_star
-    simulated_err = simulated_sq - r_star
-    linearized_err = sys.rigidity.entries @ tail
 
     # the jump is supported on the actuated block, so its coefficients are
     # inner products of the basis blocks there with w0 * impulse
-    coeffs = rbm_coefficients(rbm, scenario.actuator, scenario.w0 * scenario.impulse)
+    c_x, c_y, c_r = rbm_coefficients(rbm, scenario.actuator, scenario.w0 * scenario.impulse)
     # the steady state rotates every agent by this angle about the center of
     # mass: the orthonormal-basis coefficient divided by the norm of the raw
     # rotation field stack(Omega (p_k - p_cm))
     centered = fw.points - rbm.center
     # a numpy float, so that its square overflows to inf instead of raising
-    rotation_angle = coeffs[2] / np.sqrt(np.einsum("kd,kd->", centered, centered))
-    # a planar rotation keeps every edge length: |Omega e_k|^2 = |e_k|^2
-    predicted = r_star + rotation_angle**2 * r_star
+    rotation_angle = c_r / np.sqrt(np.einsum("kd,kd->", centered, centered))
+    with np.errstate(over="ignore"):
+        angle_sq = rotation_angle**2
 
     steady = steady_state(sys, scenario.w0, scenario.impulse)
 
@@ -486,27 +422,28 @@ def shape_recovery_experiment(
     else:
         verdict = "distortion"
 
-    nl_traj = simulate_nonlinear(fw, fw.positions + dp0, scenario.sim) if nonlinear else None
-
-    return ImpulseOutcome(
-        w0=np.array(scenario.w0),
-        magnitude=scenario.impulse,
-        w0_is_unit=bool(abs(np.linalg.norm(scenario.w0) - 1.0) <= 1e-12),
-        alignment=alignment,
-        coefficients=coeffs,
-        rotation_angle=rotation_angle,
-        steady_state=steady,
-        predicted_edge_sq_lengths=predicted,
-        simulated_edge_sq_lengths=simulated_sq,
-        simulated_final_edge_errors=simulated_err,
-        linearized_final_edge_errors=linearized_err,
-        verdict=verdict,
-        classification=classification,
-        flex_excitation=flex_excitation,
-        trajectory=traj,
-        nonlinear_trajectory=nl_traj,
-        nonlinear_final_edge_errors=None if nl_traj is None else _tail_mean(nl_traj.edge_errors),
-    )
+    outcome = {
+        "w0": scenario.w0,
+        "magnitude": scenario.impulse,
+        "w0_is_unit": bool(abs(np.linalg.norm(scenario.w0) - 1.0) <= 1e-12),
+        "alignment": alignment,
+        "coefficients": {"c_x": c_x, "c_y": c_y, "c_r": c_r},
+        "rotation_angle": rotation_angle,
+        "steady_state": steady,
+        # a planar rotation keeps every edge length: |Omega e_k|^2 = |e_k|^2
+        "predicted_edge_sq_lengths": r_star + angle_sq * r_star,
+        "simulated_edge_sq_lengths": simulated_sq,
+        "simulated_final_edge_errors": simulated_sq - r_star,
+        "linearized_final_edge_errors": sys.rigidity.entries @ tail,
+        "verdict": verdict,
+        "classification": classification,
+        "flex_excitation": flex_excitation,
+    }
+    if not nonlinear:
+        return outcome, traj, None
+    nl_traj = simulate_nonlinear(fw, fw.positions + dp0, scenario.sim)
+    outcome["nonlinear_final_edge_errors"] = _tail_mean(nl_traj.edge_errors)
+    return outcome, traj, nl_traj
 
 
 def sweep_impulse_angles(scenario: Scenario, sys: LinearizedSystem, n_angles: int) -> np.ndarray:

@@ -146,8 +146,8 @@ class SimSettings:
     method: str = "rk4"  # "rk4" | "euler"
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValidationError(f"sim.dt: step size must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ValidationError(f"sim.dt: step size must be positive and finite, got {self.dt}")
         if not self.t_end > 0:
             raise ValidationError(f"sim.t_end: horizon must be positive, got {self.t_end}")
         # beyond 2**53 steps the sample times k * dt are no longer distinct floats
@@ -165,10 +165,10 @@ class ToleranceOverrides:
     subspace: float | None = None
 
     def __post_init__(self):
-        if self.rank is not None and not self.rank > 0:
-            raise ValidationError(f"tol.rank: must be positive, got {self.rank}")
-        if self.subspace is not None and not self.subspace > 0:
-            raise ValidationError(f"tol.subspace: must be positive, got {self.subspace}")
+        if self.rank is not None and not 0 < self.rank < np.inf:
+            raise ValidationError(f"tol.rank: must be positive and finite, got {self.rank}")
+        if self.subspace is not None and not 0 < self.subspace < np.inf:
+            raise ValidationError(f"tol.subspace: must be positive and finite, got {self.subspace}")
 
 
 @dataclass(frozen=True)
@@ -196,8 +196,8 @@ class Scenario:
             raise ValidationError("w0: entries must be finite")
         w.setflags(write=False)
         object.__setattr__(self, "w0", w)
-        if not self.impulse > 0:
-            raise ValidationError(f"impulse: must be positive, got {self.impulse}")
+        if not 0 < self.impulse < np.inf:
+            raise ValidationError(f"impulse: must be positive and finite, got {self.impulse}")
 
 
 def _is_int(v) -> bool:

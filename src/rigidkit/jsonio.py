@@ -29,7 +29,7 @@ class NonFiniteError(ValueError):
 def format_float(value: float) -> str:
     v = float(value)
     if not math.isfinite(v):
-        raise NonFiniteError(f"non-finite value in JSON output: {value!r}")
+        raise NonFiniteError(f"non-finite value in JSON output: {v!r}")
     return format(v, ".17g")
 
 

@@ -3,6 +3,8 @@ ambient subspace oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import event
+from hypothesis import strategies as st
 
 import rigidkit as rk
 
@@ -142,6 +144,27 @@ def random_rigid_framework(
         if _well_conditioned(fw, ratio):
             return fw
     raise RuntimeError(f"could not draw a well-conditioned rigid framework (n={n}, d={d})")
+
+
+@st.composite
+def frameworks_with_node(draw, dims=(2, 2, 3), kinds=("minimal", "redundant", "flexible")):
+    """A random minimally rigid framework in one of ``dims``, kept as it is,
+    with extra edges (redundant) or with edges removed (flexible), as
+    ``kinds`` allows, and a node."""
+    d = draw(st.sampled_from(dims))
+    n = draw(st.integers(d + 1, 8))
+    fw = random_rigid_framework(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, d)
+    edges = list(fw.edges)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "redundant":
+        missing = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
+        if missing:
+            edges += draw(st.lists(st.sampled_from(missing), min_size=1, max_size=3, unique=True))
+    elif kind == "flexible":
+        drop = draw(st.lists(st.integers(0, len(edges) - 1), min_size=1, max_size=3, unique=True))
+        edges = [e for k, e in enumerate(edges) if k not in drop]
+    event(kind)
+    return rk.Framework.from_points(fw.points, edges), draw(st.integers(0, n - 1))
 
 
 @pytest.fixture(scope="session")

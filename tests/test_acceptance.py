@@ -128,11 +128,11 @@ def test_criterion_07_recovery_branch():
     fw = square_with_diagonal()
     r_i = _rotation_block(fw, 0)
     sc = _case_scenario([r_i[1], -r_i[0]])
-    out = rk.shape_recovery_experiment(sc, system_of(sc))
+    out, trajectory, _ = rk.shape_recovery_experiment(sc, system_of(sc))
     elapsed = time.perf_counter() - start
-    assert out.verdict == "recovery"
-    assert np.abs(out.simulated_final_edge_errors).max() < 1e-6
-    tail = out.trajectory.tail_state().reshape(fw.n, 2)
+    assert out["verdict"] == "recovery"
+    assert np.abs(out["simulated_final_edge_errors"]).max() < 1e-6
+    tail = trajectory.tail_state().reshape(fw.n, 2)
     assert np.abs(tail - tail[0]).max() < 1e-8  # pure translation
     assert elapsed < 5.0
     _ok(7, f"orthogonal impulse: zero final edge error, pure translation ({elapsed:.2f}s)")
@@ -142,12 +142,12 @@ def test_criterion_08_distortion_branch():
     fw = square_with_diagonal()
     r_i = _rotation_block(fw, 0)
     sc = _case_scenario(r_i / np.linalg.norm(r_i))
-    out = rk.shape_recovery_experiment(sc, system_of(sc))
-    assert out.verdict == "distortion"
+    out, _, _ = rk.shape_recovery_experiment(sc, system_of(sc))
+    assert out["verdict"] == "distortion"
     r_star = rk.rigidity_function(fw, fw.positions)
-    predicted_change = out.predicted_edge_sq_lengths - r_star
+    predicted_change = out["predicted_edge_sq_lengths"] - r_star
     assert np.all(predicted_change > 0)
-    rel = np.abs(out.simulated_final_edge_errors - predicted_change) / predicted_change
+    rel = np.abs(out["simulated_final_edge_errors"] - predicted_change) / predicted_change
     assert rel.max() < 0.01
     _ok(8, "aligned impulse: per-edge squared-length change matches the rotation prediction")
 
@@ -176,8 +176,8 @@ def test_criterion_10_controllable_plane():
     rng = np.random.default_rng(7)
     for _ in range(100):
         w0 = rng.normal(size=2)
-        assert abs(plane.coords(w0) @ plane.normal) <= 1e-12
-    motion = rk.rbm_motion_from_coords(rbm, plane.normal)
+        assert abs(np.array([*w0, plane["rotation_at_node"] @ w0]) @ plane["n_c"]) <= 1e-12
+    motion = rk.rbm_motion_from_coords(rbm, plane["n_c"])
     assert np.linalg.norm(rk.block(motion, 0, 2)) <= 1e-12
     _ok(10, "reachable coordinates stay on the plane; its normal rebuilds a pinned motion")
 

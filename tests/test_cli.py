@@ -555,6 +555,29 @@ def test_rank_cutoff_below_rounding_exits_2(tmp_path, capsys, command, route):
     assert len(err) == 1 and err[0].startswith("error: tol.rank: "), err
 
 
+@pytest.mark.parametrize(
+    "overrides, flags, field",
+    [
+        ({"impulse": math.inf}, [], "impulse"),
+        ({"sim": {"dt": math.inf, "t_end": 10.0}}, [], "sim.dt"),
+        ({"tol": {"rank": math.inf}}, [], "tol.rank"),
+        ({"tol": {"subspace": math.inf}}, [], "tol.subspace"),
+        ({}, ["--dt", "inf"], "sim.dt"),
+    ],
+    ids=["impulse", "sim-dt", "tol-rank", "tol-subspace", "dt-flag"],
+)
+def test_non_finite_scenario_number_exits_2(tmp_path, capsys, overrides, flags, field):
+    """JSON reads 1e400 and Infinity as inf, which is positive but no
+    number to run with: one line names the field. The file is written with
+    ``json.dumps``, since ``dump_json`` refuses inf."""
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(triangle_scenario_dict(**overrides)), encoding="utf-8")
+    assert run(["dichotomy", path, "--out", tmp_path / "run", *flags]) == EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {field}: "), err
+    assert err[0].endswith("must be positive and finite, got inf"), err
+
+
 def test_env_var_output_dir(tmp_path, triangle_file, monkeypatch):
     target = tmp_path / "from_env"
     monkeypatch.setenv("RIGIDKIT_OUT", str(target))
@@ -610,6 +633,36 @@ def test_module_entry_point_reports_flexible_warning(tmp_path):
     assert load_json(out / "outcome.json")["outcome"]["verdict"] == "withheld"
 
 
+@pytest.mark.parametrize(
+    "overrides, flags, line",
+    [
+        ({}, ["--dt", 1e300, "--t-end", 1e300], "non-finite state at step 1 (t=1e+300)"),
+        ({"impulse": 1e300}, [], "non-finite value in JSON output: inf"),
+    ],
+    ids=["overflowing-step", "overflowing-impulse"],
+)
+def test_overflow_exits_3_with_one_line(tmp_path, capsys, overrides, flags, line):
+    """An overflow is reported by its one ``numerical failure`` line alone,
+    with no numpy warning before it: in-process, under the suite's
+    warnings-as-errors, and from a fresh interpreter."""
+    path = write_scenario(tmp_path / "big.json", triangle_scenario_dict(**overrides))
+    assert run(["dichotomy", path, "--out", tmp_path / "run", *flags]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"numerical failure: {line}\n"
+    assert run_module("dichotomy", path, "--out", tmp_path / "run", *flags) == (
+        EXIT_NUMERICAL, "", f"numerical failure: {line}\n"
+    )
+
+
+def test_dichotomy_of_a_single_agent_prints_one_line(tmp_path):
+    """A single agent has no rotation: the run is refused before the
+    flexible-framework warning is printed."""
+    data = triangle_scenario_dict(n=1, edges=[], positions=[[0.0, 0.0]], sensor=1)
+    path = write_scenario(tmp_path / "one.json", data)
+    assert run_module("dichotomy", path, "--out", tmp_path / "run") == (
+        EXIT_INPUT, "", "error: degenerate configuration: all agents sit at the center of mass\n"
+    )
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_module_entry_point_failed_flush_exits_120(tmp_path, triangle_file):
     # stdout block-buffered, so the report line is written only at the final flush
@@ -630,6 +683,14 @@ def test_demo_runs(demo):
     proc = run_python(str(demo))
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_readme_quick_start_runs():
+    """The README's python block runs as written in a fresh interpreter."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = text.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def per_cell_csv(header, rows) -> str:
@@ -918,9 +979,9 @@ def test_trajectory_csv_in_row_blocks_matches_whole_table(tmp_path, chunk):
     scenario = rk.load_scenario(DEMO_SCENARIOS / "square_diagonal.json")
     scenario = replace(scenario, sim=replace(scenario.sim, dt=0.01, t_end=8.0))
     fw = scenario.framework
-    outcome = rk.shape_recovery_experiment(scenario, system_of(scenario), nonlinear=True)
+    _, *trajectories = rk.shape_recovery_experiment(scenario, system_of(scenario), nonlinear=True)
     header = ["t"] + cli._coord_headers(fw.n, fw.d) + [f"e_{k + 1}" for k in range(fw.m)] + ["V"]
-    for traj in (outcome.trajectory, outcome.nonlinear_trajectory):
+    for traj in trajectories:
         with mock.patch.object(cli, "CSV_CHUNK_CELLS", chunk):
             cli._write_trajectory_csv(scenario, traj, tmp_path / "trajectory.csv")
         text = (tmp_path / "trajectory.csv").read_text(encoding="utf-8")

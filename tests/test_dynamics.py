@@ -17,6 +17,7 @@ from rigidkit.dynamics import _gradient_rhs
 from conftest import (
     complete_k4,
     four_cycle,
+    frameworks_with_node,
     no_edges,
     random_rigid_framework,
     square_with_diagonal,
@@ -519,11 +520,11 @@ def test_edgeless_framework_runs_every_simulation():
     assert np.array_equal(lti.states, np.tile(bump, (101, 1)))
 
     with pytest.warns(UserWarning, match="flexible"):
-        out = rk.shape_recovery_experiment(sc, sys, nonlinear=True)
-    assert out.verdict == "withheld"
-    assert out.predicted_edge_sq_lengths.shape == (0,)
-    assert out.nonlinear_final_edge_errors.shape == (0,)
-    assert np.array_equal(out.steady_state, sys.B @ sc.w0)
+        out, _, _ = rk.shape_recovery_experiment(sc, sys, nonlinear=True)
+    assert out["verdict"] == "withheld"
+    assert out["predicted_edge_sq_lengths"].shape == (0,)
+    assert out["nonlinear_final_edge_errors"].shape == (0,)
+    assert np.array_equal(out["steady_state"], sys.B @ sc.w0)
 
     table = rk.sweep_impulse_angles(sc, sys, 4)
     assert np.array_equal(table[:, 3], np.zeros(4))
@@ -585,11 +586,11 @@ def test_rbm_coefficients_rejects_other_dimensions():
 
 def test_recovery_branch():
     sc = recovery_scenario()
-    out = rk.shape_recovery_experiment(sc, system_of(sc))
-    assert out.verdict == "recovery"
-    assert abs(out.alignment) < 1e-12
-    assert np.abs(out.simulated_final_edge_errors).max() < 1e-6
-    disp = out.steady_state.reshape(4, 2)
+    out, _, _ = rk.shape_recovery_experiment(sc, system_of(sc))
+    assert out["verdict"] == "recovery"
+    assert abs(out["alignment"]) < 1e-12
+    assert np.abs(out["simulated_final_edge_errors"]).max() < 1e-6
+    disp = out["steady_state"].reshape(4, 2)
     assert np.abs(disp - disp[0]).max() < 1e-8  # pure translation
 
 
@@ -598,12 +599,12 @@ def test_distortion_branch_matches_prediction():
     rbm = rk.rbm_basis(fw)
     r_i = rk.block(rbm.v_r, 0, 2)
     sc = recovery_scenario(w0=r_i / np.linalg.norm(r_i))
-    out = rk.shape_recovery_experiment(sc, system_of(sc))
-    assert out.verdict == "distortion"
+    out, _, _ = rk.shape_recovery_experiment(sc, system_of(sc))
+    assert out["verdict"] == "distortion"
     r_star = rk.rigidity_function(fw, fw.positions)
-    predicted_change = out.predicted_edge_sq_lengths - r_star
+    predicted_change = out["predicted_edge_sq_lengths"] - r_star
     assert np.all(predicted_change > 0)
-    rel = np.abs(out.simulated_final_edge_errors - predicted_change) / predicted_change.max()
+    rel = np.abs(out["simulated_final_edge_errors"] - predicted_change) / predicted_change.max()
     assert rel.max() < 0.01
 
 
@@ -615,14 +616,42 @@ def test_predicted_lengths_use_squared_rotation_gain():
     rbm = rk.rbm_basis(fw)
     r_i = rk.block(rbm.v_r, 0, 2)
     sc = recovery_scenario(w0=r_i / np.linalg.norm(r_i))
-    out = rk.shape_recovery_experiment(sc, system_of(sc))
+    out, _, _ = rk.shape_recovery_experiment(sc, system_of(sc))
     r_star = rk.rigidity_function(fw, fw.positions)
     idx_i, idx_j = fw.edge_ends.T
     rotated = (fw.points[idx_i] - fw.points[idx_j]) @ OMEGA.T
-    gain = out.rotation_angle**2 * np.einsum("kd,kd->k", rotated, rotated)
-    assert np.allclose(out.predicted_edge_sq_lengths, r_star + gain, rtol=1e-12)
-    expected = (1.0 + out.rotation_angle**2) * r_star
-    assert np.allclose(out.predicted_edge_sq_lengths, expected, rtol=1e-12)
+    gain = out["rotation_angle"] ** 2 * np.einsum("kd,kd->k", rotated, rotated)
+    assert np.allclose(out["predicted_edge_sq_lengths"], r_star + gain, rtol=1e-12)
+    expected = (1.0 + out["rotation_angle"] ** 2) * r_star
+    assert np.allclose(out["predicted_edge_sq_lengths"], expected, rtol=1e-12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=frameworks_with_node(dims=(2,), kinds=("minimal", "redundant")))
+def test_shape_recovery_follows_the_alignment_with_the_rotation(case):
+    """The paper's shape-recovery result on random rigid planar frameworks.
+    An input orthogonal to the rotation block r_i at the actuator settles on
+    a pure translation, so the exact final edge errors vanish; an input
+    along r_i turns the formation by the steady-state angle, and every edge
+    error is that angle squared times r*. The step resolves the fastest
+    mode and the horizon is 20 time constants of the slowest one."""
+    fw, node = case
+    sys = rk.linearize(fw, node, 0)
+    assert rk.classify_rigidity(sys.rigidity) != rk.FLEXIBLE
+    lam = -sys.spectrum[0][: sys.rigidity.rank]
+    sim = rk.SimSettings(dt=min(2.0 / lam.max(), 0.05), t_end=20.0 / lam.min())
+    r_i = rk.block(sys.rbm.v_r, node, 2)
+    r_star = rk.rigidity_function(fw, fw.positions)
+    for w0, verdict in ((np.array([-r_i[1], r_i[0]]), "recovery"), (r_i, "distortion")):
+        sc = rk.Scenario(framework=fw, actuator=node, sensor=0, w0=w0 / np.linalg.norm(w0), sim=sim)
+        out, _, _ = rk.shape_recovery_experiment(sc, sys)
+        assert out["verdict"] == verdict
+        errors = out["simulated_final_edge_errors"]
+        if verdict == "recovery":
+            assert np.abs(errors).max() <= 1e-7 * r_star.max()
+        else:
+            stretch = out["rotation_angle"] ** 2 * r_star
+            assert np.all(np.abs(errors - stretch) <= 1e-6 * stretch)
 
 
 def test_flexible_framework_withholds_verdict():
@@ -634,18 +663,18 @@ def test_flexible_framework_withholds_verdict():
         sim=rk.SimSettings(dt=0.005, t_end=10.0),
     )
     with pytest.warns(UserWarning, match="flexible"):
-        out = rk.shape_recovery_experiment(sc, system_of(sc))
-    assert out.verdict == "withheld"
-    assert out.flex_excitation is not None and out.flex_excitation > 0
+        out, _, _ = rk.shape_recovery_experiment(sc, system_of(sc))
+    assert out["verdict"] == "withheld"
+    assert out["flex_excitation"] is not None and out["flex_excitation"] > 0
 
 
 def test_nonlinear_comparison_run():
     sc = recovery_scenario()
-    out = rk.shape_recovery_experiment(sc, system_of(sc), nonlinear=True)
-    assert out.nonlinear_trajectory is not None
-    assert out.nonlinear_final_edge_errors is not None
+    out, _, nonlinear = rk.shape_recovery_experiment(sc, system_of(sc), nonlinear=True)
+    assert nonlinear is not None
+    assert out["nonlinear_final_edge_errors"] is not None
     # the nonlinear flow also recovers shape for an orthogonal input
-    assert np.abs(out.nonlinear_final_edge_errors).max() < 1e-6
+    assert np.abs(out["nonlinear_final_edge_errors"]).max() < 1e-6
 
 
 def test_requires_planar_framework():
@@ -661,11 +690,11 @@ def test_controllable_plane_normal_formula():
     rbm = rk.rbm_basis(fw)
     plane = rk.controllable_plane(rbm, 0)
     r_i = rk.block(rbm.v_r, 0, 2)
-    assert np.array_equal(plane.normal, [-r_i[0], -r_i[1], 1.0])
-    assert np.allclose(plane.plane_basis.T @ plane.normal, 0.0, atol=1e-12)
-    assert abs(np.linalg.norm(plane.recovery_line) - 1.0) < 1e-12
-    assert abs(plane.recovery_line @ plane.normal) < 1e-12
-    assert plane.recovery_line[2] == 0.0
+    assert np.array_equal(plane["n_c"], [-r_i[0], -r_i[1], 1.0])
+    assert np.allclose(plane["plane_basis"] @ plane["n_c"], 0.0, atol=1e-12)
+    assert abs(np.linalg.norm(plane["recovery_line"]) - 1.0) < 1e-12
+    assert abs(plane["recovery_line"] @ plane["n_c"]) < 1e-12
+    assert plane["recovery_line"][2] == 0.0
 
 
 def test_controllable_plane_orthogonality_random_inputs():
@@ -674,14 +703,14 @@ def test_controllable_plane_orthogonality_random_inputs():
     rng = np.random.default_rng(12)
     for _ in range(100):
         w0 = rng.normal(size=2)
-        assert abs(plane.coords(w0) @ plane.normal) <= 1e-12
+        assert abs(np.array([*w0, plane["rotation_at_node"] @ w0]) @ plane["n_c"]) <= 1e-12
 
 
 def test_uncontrollable_coordinates_reconstruct_pinned_motion():
     fw = square_with_diagonal()
     rbm = rk.rbm_basis(fw)
     plane = rk.controllable_plane(rbm, 0)
-    motion = rk.rbm_motion_from_coords(rbm, plane.normal)
+    motion = rk.rbm_motion_from_coords(rbm, plane["n_c"])
     assert np.linalg.norm(rk.block(motion, 0, 2)) <= 1e-12
     rot = rk.global_rotation_subspace(fw, 0)
     assert rk.principal_angles(rk.orthonormalize(motion[:, None]), rot).max() < 1e-10
@@ -803,5 +832,5 @@ def test_sweep_matches_single_experiment():
         w0=np.array([1.0, 0.0]),
         sim=sc.sim,
     )
-    out = rk.shape_recovery_experiment(aligned, system_of(aligned))
-    assert abs(table[0, 3] - np.abs(out.simulated_final_edge_errors).max()) < 1e-9
+    out, _, _ = rk.shape_recovery_experiment(aligned, system_of(aligned))
+    assert abs(table[0, 3] - np.abs(out["simulated_final_edge_errors"]).max()) < 1e-9

@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
-from hypothesis import strategies as st
 
 import rigidkit as rk
 from rigidkit.cli import EXIT_OK, main
@@ -15,6 +14,7 @@ from rigidkit.modes import _uncontrollable_parts
 from conftest import (
     complete_k4,
     four_cycle,
+    frameworks_with_node,
     intersect,
     lattice_scenario_dict,
     no_edges,
@@ -435,26 +435,6 @@ def node_block_verdicts(sys) -> dict:
     if rigid["applicable"]:
         verdicts.update({k: rigid[k] for k in ["local_deformation_dim", "components_orthogonal", "decomposition_holds"]})
     return verdicts
-
-
-@st.composite
-def frameworks_with_node(draw):
-    """A random minimally rigid framework in 2-D or 3-D, kept as it is, with
-    extra edges (redundant) or with edges removed (flexible), and a node."""
-    d = draw(st.sampled_from([2, 2, 3]))
-    n = draw(st.integers(d + 1, 8))
-    fw = random_rigid_framework(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, d)
-    edges = list(fw.edges)
-    kind = draw(st.sampled_from(["minimal", "redundant", "flexible"]))
-    if kind == "redundant":
-        missing = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
-        if missing:
-            edges += draw(st.lists(st.sampled_from(missing), min_size=1, max_size=3, unique=True))
-    elif kind == "flexible":
-        drop = draw(st.lists(st.integers(0, len(edges) - 1), min_size=1, max_size=3, unique=True))
-        edges = [e for k, e in enumerate(edges) if k not in drop]
-    event(kind)
-    return rk.Framework.from_points(fw.points, edges), draw(st.integers(0, n - 1))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
