@@ -56,8 +56,8 @@ EXIT_NUMERICAL = 3
 # --check tolerances for numbers that differ from the recorded run
 CHECK_RTOL = 1e-9
 CHECK_ATOL = 1e-12
-# fields formatted per write of a CSV file
-CSV_CHUNK_CELLS = 1 << 14
+# fields formatted per write of a CSV file, and parsed per read of one
+CSV_CHUNK_CELLS = 1 << 12
 # largest float64 table, in bytes, that a run may build: max(m, nd)^2 for R
 # and the factors U (m x m) and V^T (nd x nd) of its SVD; for dichotomy also
 # a trajectory's (steps + 1) x max(nd, m) states or edge errors, and the
@@ -120,11 +120,12 @@ def _write_csv_blocks(path: Path, header: list[str], blocks) -> None:
                 fh.write("".join(lines))
 
 
-def _write_trajectory_csv(scenario: Scenario, traj, path: Path) -> None:
+def _write_trajectory_csv(traj, path: Path) -> None:
     """Columns t, p_1x, p_1y, ..., e_1, ..., e_m, V with absolute positions
-    and exact edge errors, for either kind of trajectory. The table is
-    built a block of about ``CSV_CHUNK_CELLS`` fields at a time."""
-    fw = scenario.framework
+    and exact edge errors, for either kind of trajectory. The table, edge
+    errors and potential included, is built a block of about
+    ``CSV_CHUNK_CELLS`` fields at a time."""
+    fw = traj.framework
     header = (
         ["t"]
         + _coord_headers(fw.n, fw.d)
@@ -135,8 +136,7 @@ def _write_trajectory_csv(scenario: Scenario, traj, path: Path) -> None:
 
     def block(lo: int) -> np.ndarray:
         rows = slice(lo, lo + step)
-        states = traj.states[rows] + fw.positions if traj.kind == "lti" else traj.states[rows]
-        return np.column_stack([traj.times[rows], states, traj.edge_errors[rows], traj.potential[rows]])
+        return np.column_stack([traj.times[rows], *traj.rows(rows)])
 
     _write_csv_blocks(path, header, map(block, range(0, len(traj.times), step)))
 
@@ -212,26 +212,31 @@ def _rows(fh):
         yield line
 
 
-def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
-    """Header and rows of a CSV file written by :func:`_write_csv`, as
-    ``plotdata`` and ``--check`` read it.
+def _read_table(path: Path):
+    """A CSV file written by :func:`_write_csv`, as ``plotdata`` and
+    ``--check`` read it: yields its header, then its rows in 2-D blocks of
+    about ``CSV_CHUNK_CELLS`` fields.
 
     The rows go through numpy's C reader, so no Python string or float is
-    made per field. Any line that is not a full row of numbers is refused
-    with ``ValidationError``: a blank line, a missing or extra field, a field
+    made per field, and only one block is held at a time. Any line that is
+    not a full row of numbers is refused with ``ValidationError`` when its
+    block is reached: a blank line, a missing or extra field, a field
     ``float()`` would take but numpy's reader does not (``1_0``), or no row.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\r\n").split(",")
-            first = fh.readline()
-            if first.strip():  # one row at least, so loadtxt has data and does not warn
-                data = np.loadtxt(
-                    itertools.chain([first], _rows(fh)), delimiter=",", comments=None, ndmin=2
-                )
-                if data.shape[1] == len(header):
-                    return header, data
-    except ValueError:  # not UTF-8 text, a blank line, or a field that is not a number
+            yield header
+            lines, count = _rows(fh), 0
+            while block := list(itertools.islice(lines, max(1, CSV_CHUNK_CELLS // len(header)))):
+                data = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
+                if data.shape[1] != len(header):
+                    raise ValueError("wrong number of fields")
+                count += len(data)
+                yield data
+            if count:
+                return
+    except ValueError:  # not UTF-8 text, a blank line, a missing or extra field, or one that is not a number
         pass
     raise ValidationError(f"{path}: expected a header and rows of numbers, one per column")
 
@@ -244,8 +249,13 @@ def _files_match(fresh: Path, existing: Path) -> bool:
     try:
         if fresh.suffix == ".json":
             return _values_match(load_json(fresh), load_json(existing))
-        (new_header, new), (old_header, old) = _read_table(fresh), _read_table(existing)
-        return new_header == old_header and new.shape == old.shape and _close(new, old)
+        new, old = _read_table(fresh), _read_table(existing)
+        if next(new) != next(old):  # the headers; equal ones give blocks of equal height
+            return False
+        return all(
+            a is not None and b is not None and a.shape == b.shape and _close(a, b)
+            for a, b in itertools.zip_longest(new, old)
+        )
     except (ValueError, OverflowError):  # recorded text that is not JSON, not UTF-8 or not a table of numbers
         return False
 
@@ -391,9 +401,9 @@ def cmd_dichotomy(args) -> int:
             },
             out_dir / "outcome.json",
         )
-        _write_trajectory_csv(scenario, trajectory, out_dir / "trajectory.csv")
+        _write_trajectory_csv(trajectory, out_dir / "trajectory.csv")
         if nl_trajectory is not None:
-            _write_trajectory_csv(scenario, nl_trajectory, out_dir / "trajectory_nonlinear.csv")
+            _write_trajectory_csv(nl_trajectory, out_dir / "trajectory_nonlinear.csv")
             files.append("trajectory_nonlinear.csv")
         if args.sweep:
             table = sweep_impulse_angles(scenario, sys_, args.sweep)
@@ -426,9 +436,15 @@ def cmd_plotdata(args) -> int:
         print(f"error: missing {trajectory_path} (run dichotomy first)", file=sys.stderr)
         return EXIT_INPUT
 
-    header, data = _read_table(trajectory_path)
+    table = _read_table(trajectory_path)
+    header = next(table)
+    keep = [0] + [c for c, name in enumerate(header) if name.startswith("e_")]
 
     def runner(out_dir: Path) -> list[str]:
+        # first, so that a trajectory refused on a later row leaves every file as it was
+        _write_csv_blocks(
+            out_dir / "edge_errors.csv", [header[c] for c in keep], (rows[:, keep] for rows in table)
+        )
         pts = fw.points
         rotation = global_rotation_subspace(fw, scenario.actuator).basis[:, 0]
         rows = [
@@ -446,9 +462,6 @@ def cmd_plotdata(args) -> int:
         # (k, 5) even when the actuator has no neighbour, so the file is its header alone
         tau_table = np.reshape(tau_rows, (-1, 5))
         _write_csv(out_dir / "arrows_Ti.csv", ["node", "x", "y", "dx", "dy"], tau_table)
-
-        keep = [0] + [c for c, name in enumerate(header) if name.startswith("e_")]
-        _write_csv(out_dir / "edge_errors.csv", [header[c] for c in keep], data[:, keep])
 
         dump_json(controllable_plane(rbm_basis(fw), scenario.actuator), out_dir / "plane.json")
         return ["arrows_Ri.csv", "arrows_Ti.csv", "edge_errors.csv", "plane.json"]

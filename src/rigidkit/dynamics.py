@@ -27,6 +27,14 @@ bit for bit: the step map is a pure function of the state, so every later
 row equals that one and is copied, and the trajectory is the one a full
 stepped run gives.
 
+A trajectory holds its states and nothing else per step: the exact edge
+errors and the potential are computed for a block of rows when they are
+read, so the states are the only tables whose size grows with the step
+count. The linearized model builds its ``g**k`` table whole, because a
+matmul in row blocks rounds differently, and drops it before anything else
+is built; the angle sweep builds only the tail rows it averages, and scans
+every row in blocks only when the last one is not finite.
+
 The nonlinear step makes few numpy calls, since at small n their fixed
 cost is the step's cost: the edge vectors are gathered straight from the
 flat state, the pulls go into one reused weights buffer for one
@@ -41,6 +49,7 @@ d >= 3 and from ``vecdot`` and matmul for any d.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -79,26 +88,46 @@ class Trajectory:
     """Uniformly sampled states of one simulation run.
 
     ``states`` holds absolute configurations for the nonlinear flow and
-    deviations from the reference for the linearized model. For both kinds,
-    ``edge_errors`` holds the exact squared-length errors of the absolute
-    configurations and ``potential`` half their squared norm per row.
+    deviations from the reference for the linearized model. It is the only
+    table kept: :meth:`rows` computes, for a block of rows, the absolute
+    configurations, their exact squared-length errors against ``r_star``
+    and the potential, half the errors' squared norm per row.
+    ``edge_errors`` and ``potential`` are :meth:`rows` of every row.
     """
 
     kind: str  # "nonlinear" | "lti"
     times: np.ndarray  # (T,)
     states: np.ndarray  # (T, n*d)
-    edge_errors: np.ndarray  # (T, m)
-    potential: np.ndarray  # (T,)
+    framework: Framework
+    r_star: np.ndarray  # (m,) squared edge lengths of the reference
+
+    def rows(self, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Absolute configurations, exact edge errors and potential of ``rows``,
+        each row's values bit for bit those of every other block height."""
+        configurations = self.states[rows]
+        if self.kind == "lti":
+            configurations = configurations + self.framework.positions
+        errors = _edge_errors_of_states(self.framework, configurations, self.r_star)
+        return configurations, errors, _potential(errors)
+
+    @property
+    def edge_errors(self) -> np.ndarray:
+        """(T, m) exact edge errors of every row, column-major."""
+        return self.rows()[1]
+
+    @property
+    def potential(self) -> np.ndarray:
+        """(T,) potential of every row."""
+        return self.rows()[2]
 
     def tail_state(self) -> np.ndarray:
         """Mean state over the trailing ``TAIL_FRACTION`` of samples."""
-        return _tail_mean(self.states)
+        return self.states[_tail(len(self.states))].mean(axis=0)
 
 
-def _tail_mean(rows: np.ndarray) -> np.ndarray:
-    """Mean over the trailing ``TAIL_FRACTION`` of the rows, at least one."""
-    k = max(1, int(round(TAIL_FRACTION * len(rows))))
-    return rows[-k:].mean(axis=0)
+def _tail(count: int) -> slice:
+    """The trailing ``TAIL_FRACTION`` of ``count`` rows, at least one."""
+    return slice(count - max(1, int(round(TAIL_FRACTION * count))), count)
 
 
 def _edge_errors_of_states(fw: Framework, states: np.ndarray, r_star: np.ndarray) -> np.ndarray:
@@ -107,8 +136,8 @@ def _edge_errors_of_states(fw: Framework, states: np.ndarray, r_star: np.ndarray
     Works through blocks of about ``EDGE_BLOCK_CELLS`` gathered coordinates,
     so the (T, m, d) edge vectors are never built whole. Each row's sum is
     the one ``einsum`` makes for the whole stack, bit for bit, and the
-    result is column-major like that one's, so sums over its rows (the
-    potential, say) add in the same order too.
+    result is column-major like that one's, so a mean over its rows adds in
+    the same order too.
     """
     idx_i, idx_j = fw.edge_ends.T
     pts = states.reshape(states.shape[0], fw.n, fw.d)
@@ -119,6 +148,16 @@ def _edge_errors_of_states(fw: Framework, states: np.ndarray, r_star: np.ndarray
         np.einsum("tkd,tkd->tk", diff, diff, out=out[lo : lo + step])
     out -= r_star
     return out
+
+
+def _potential(errors: np.ndarray) -> np.ndarray:
+    """Half the squared norm of each row of ``errors``, its terms added left
+    to right. Those are the bits of ``0.5 * einsum("tk,tk->t")`` over a
+    column-major table of two rows or more, whatever the block's height:
+    on one contiguous row that ``einsum`` adds in another order."""
+    if not errors.shape[1]:
+        return np.zeros(len(errors))
+    return 0.5 * np.cumsum(errors * errors, axis=1)[:, -1]
 
 
 def _stepper(rhs, dt: float, method: str):
@@ -152,11 +191,13 @@ def _steps(settings: SimSettings) -> int:
     return max(1, int(round(settings.t_end / settings.dt)))
 
 
-def _raise_if_non_finite(rows: np.ndarray, settings: SimSettings) -> None:
-    """NumericalError naming the first step whose row is not finite."""
+def _raise_if_non_finite(rows: np.ndarray, settings: SimSettings, first_step: int = 0) -> None:
+    """NumericalError naming the first step whose row is not finite; row 0
+    of ``rows`` is step ``first_step``."""
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
-        raise NumericalError(f"non-finite state at step {bad[0]} (t={bad[0] * settings.dt:.6g})")
+        step = first_step + bad[0]
+        raise NumericalError(f"non-finite state at step {step} (t={step * settings.dt:.6g})")
 
 
 def _integrate(rhs, y0: np.ndarray, settings: SimSettings) -> np.ndarray:
@@ -185,13 +226,13 @@ def _integrate(rhs, y0: np.ndarray, settings: SimSettings) -> np.ndarray:
     return states
 
 
-def _trajectory(kind: str, states, errors, settings: SimSettings) -> Trajectory:
+def _trajectory(kind: str, states, fw: Framework, r_star, settings: SimSettings) -> Trajectory:
     return Trajectory(
         kind=kind,
         times=np.arange(len(states)) * settings.dt,
         states=states,
-        edge_errors=errors,
-        potential=0.5 * np.einsum("tk,tk->t", errors, errors),
+        framework=fw,
+        r_star=r_star,
     )
 
 
@@ -233,16 +274,29 @@ def simulate_nonlinear(fw: Framework, p0, settings: SimSettings = SimSettings())
         raise ValidationError(f"state length: expected {fw.n * fw.d}, got {start.size}")
     r_star = rigidity_function(fw, fw.positions)
     states = _integrate(_gradient_rhs(fw, r_star), start, settings)
-    return _trajectory("nonlinear", states, _edge_errors_of_states(fw, states, r_star), settings)
+    return _trajectory("nonlinear", states, fw, r_star, settings)
 
 
-def _modal_powers(sys: LinearizedSystem, settings: SimSettings) -> np.ndarray:
-    """(steps + 1, nd) table of ``g**k``, with ``g`` one step of ``y' = lam * y``
-    from ``y = 1`` for every eigenvalue ``lam`` of ``A`` at once."""
+def _growth(sys: LinearizedSystem, settings: SimSettings) -> np.ndarray:
+    """``g``, one step of ``y' = lam * y`` from ``y = 1``, for every
+    eigenvalue ``lam`` of ``A`` at once."""
     lam = sys.spectrum[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        growth = _stepper(lambda y: lam * y, settings.dt, settings.method)(np.ones_like(lam))
-        return growth ** np.arange(_steps(settings) + 1)[:, None]
+        return _stepper(lambda y: lam * y, settings.dt, settings.method)(np.ones_like(lam))
+
+
+def _modal_powers(growth: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, nd) table of ``g**k`` for the steps ``lo <= k < hi``, each
+    row with the bits it has in the table from step 0.
+
+    The power is taken entry by entry, but for a table of one row numpy
+    sees one exponent for the whole row and may take another path (``x * x``
+    for ``x**2``, 1 ulp away from its vector ``pow``), so such a table is
+    built as two rows.
+    """
+    first = max(0, min(lo, hi - 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (growth ** np.arange(first, hi)[:, None])[lo - first :]
 
 
 def simulate_lti(sys: LinearizedSystem, dp0, settings: SimSettings = SimSettings()) -> Trajectory:
@@ -257,14 +311,14 @@ def simulate_lti(sys: LinearizedSystem, dp0, settings: SimSettings = SimSettings
     if start.size != sys.dim:
         raise ValidationError(f"state length: expected {sys.dim}, got {start.size}")
     vec = sys.spectrum[1]
-    modal = _modal_powers(sys, settings)
+    modal = _modal_powers(_growth(sys, settings), 0, _steps(settings) + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         modal *= vec.T @ start
         states = modal @ vec.T
+    del modal  # before the trajectory's other arrays are built
     _raise_if_non_finite(states, settings)
     fw = sys.framework
-    errors = _edge_errors_of_states(fw, states + fw.positions, rigidity_function(fw, fw.positions))
-    return _trajectory("lti", states, errors, settings)
+    return _trajectory("lti", states, fw, rigidity_function(fw, fw.positions), settings)
 
 
 def steady_state(sys: LinearizedSystem, w0, magnitude: float = 1.0) -> np.ndarray:
@@ -395,7 +449,7 @@ def shape_recovery_experiment(
     traj = simulate_lti(sys, dp0, scenario.sim)
     tail = traj.tail_state()
 
-    r_star = rigidity_function(fw, fw.positions)
+    r_star = traj.r_star
     simulated_sq = _edge_errors_of_states(fw, (fw.positions + tail)[None, :], r_star)[0] + r_star
 
     # the jump is supported on the actuated block, so its coefficients are
@@ -425,7 +479,7 @@ def shape_recovery_experiment(
     outcome = {
         "w0": scenario.w0,
         "magnitude": scenario.impulse,
-        "w0_is_unit": bool(abs(np.linalg.norm(scenario.w0) - 1.0) <= 1e-12),
+        "w0_is_unit": abs(math.hypot(*scenario.w0) - 1.0) <= 1e-12,  # hypot scales, so 1e300 cannot overflow
         "alignment": alignment,
         "coefficients": {"c_x": c_x, "c_y": c_y, "c_r": c_r},
         "rotation_angle": rotation_angle,
@@ -442,7 +496,7 @@ def shape_recovery_experiment(
     if not nonlinear:
         return outcome, traj, None
     nl_traj = simulate_nonlinear(fw, fw.positions + dp0, scenario.sim)
-    outcome["nonlinear_final_edge_errors"] = _tail_mean(nl_traj.edge_errors)
+    outcome["nonlinear_final_edge_errors"] = nl_traj.rows(_tail(len(nl_traj.states)))[1].mean(axis=0)
     return outcome, traj, nl_traj
 
 
@@ -466,12 +520,21 @@ def sweep_impulse_angles(scenario: Scenario, sys: LinearizedSystem, n_angles: in
     alignments = r_i @ directions
     c_r = alignments * scenario.impulse
 
-    modal = _modal_powers(sys, scenario.sim)
-    # a row of g**k that is not finite leaves every state at that step non-finite
-    _raise_if_non_finite(modal, scenario.sim)
+    growth = _growth(sys, scenario.sim)
+    count = _steps(scenario.sim) + 1
+    tail = _tail(count)
+    powers = _modal_powers(growth, tail.start, tail.stop)
+    # A row of g**k that is not finite leaves every state at that step
+    # non-finite. |g**k| does not fall as k grows where |g| > 1, and NaN or
+    # inf in g fills every row after the first, so a non-finite row leaves
+    # the last one non-finite: only then are the rows scanned, in blocks.
+    if not np.isfinite(powers[-1]).all():
+        height = max(1, EDGE_BLOCK_CELLS // growth.size)
+        for lo in range(0, count, height):
+            _raise_if_non_finite(_modal_powers(growth, lo, min(lo + height, count)), scenario.sim, lo)
     vec = sys.spectrum[1]
     jumps = sys.B @ directions * scenario.impulse  # (nd, N)
-    tails = vec @ (_tail_mean(modal)[:, None] * (vec.T @ jumps))  # (nd, N)
+    tails = vec @ (powers.mean(axis=0)[:, None] * (vec.T @ jumps))  # (nd, N)
 
     r_star = rigidity_function(fw, fw.positions)
     finals = _edge_errors_of_states(fw, tails.T + fw.positions, r_star)

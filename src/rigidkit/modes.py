@@ -37,6 +37,7 @@ from .rigidity import (
 )
 from .subspaces import (
     DEFAULT_TOL,
+    NumericalError,
     Subspace,
     contains,
     direct_sum_check,
@@ -97,7 +98,10 @@ class LinearizedSystem:
         nd, and the columns of ``V``."""
         _, s, vt = self.rigidity.svd
         lam = np.zeros(self.dim)
-        lam[: s.size] = -(s**2)
+        with np.errstate(over="ignore"):
+            lam[: s.size] = -(s**2)
+        if not np.isfinite(lam).all():
+            raise NumericalError(f"eigenvalues of A overflow: R's largest singular value is {s[0]:.6g}")
         lam.setflags(write=False)
         return lam, vt.T
 

@@ -94,6 +94,87 @@ def test_blocked_edge_errors_match_gathered_form_bit_for_bit(cells):
             assert potential.tobytes() == np.einsum("tk,tk->t", want, want).tobytes(), (d, n, steps)
 
 
+def whole_table_rows(traj):
+    """Configurations, edge errors and potential of a trajectory built whole,
+    as ``Trajectory`` held them before it computed them per block of rows:
+    the errors column-major from the whole stack, the potential one
+    ``einsum`` over them. Kept as the oracle of ``Trajectory.rows``."""
+    fw = traj.framework
+    configurations = traj.states + fw.positions if traj.kind == "lti" else traj.states
+    errors = np.asfortranarray(gathered_edge_errors(fw, configurations, traj.r_star))
+    return configurations, errors, 0.5 * np.einsum("tk,tk->t", errors, errors)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    case=frameworks_with_node(),
+    kind=st.sampled_from(["lti", "nonlinear"]),
+    count=st.integers(2, 90),
+    height=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(case=(rk.Framework.from_points(np.eye(3)[:, :2], [(0, 1), (0, 2), (1, 2)]), 0),
+         kind="lti", count=31, height=15, seed=1)  # a last block of one row
+def test_trajectory_rows_in_blocks_match_whole_table_bit_for_bit(case, kind, count, height, seed):
+    """Edge errors and potential of every block height (a last block of one
+    row included) and the nonlinear tail mean of the errors have the bits of
+    the whole-table forms."""
+    fw, _ = case
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(count, fw.n * fw.d)) * 10.0 ** rng.uniform(-3, 3, size=(count, fw.n * fw.d))
+    r_star = rk.rigidity_function(fw, fw.positions)
+    traj = dynamics.Trajectory(kind, np.arange(count) * 0.1, states, fw, r_star)
+    want = whole_table_rows(traj)
+    blocks = [traj.rows(slice(lo, lo + height)) for lo in range(0, count, height)]
+    event("last block of one row" if count % height == 1 else "other last block")
+    for got, expected in zip(zip(*blocks), want):
+        assert same_bits(np.concatenate(got), expected)
+    assert same_bits(traj.edge_errors, want[1]) and traj.edge_errors.strides == want[1].strides
+    assert same_bits(traj.potential, want[2])
+    k = max(1, int(round(dynamics.TAIL_FRACTION * count)))
+    tail = traj.rows(dynamics._tail(count))[1].mean(axis=0)
+    assert same_bits(tail, want[1][-k:].mean(axis=0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    log_dt=st.floats(-4.0, 1.0),
+    steps=st.integers(1, 3000),
+    method=st.sampled_from(["rk4", "euler"]),
+)
+@example(log_dt=-0.5, steps=2000, method="euler")  # |g| > 1: non-finite from a middle step on
+@example(log_dt=0.0, steps=2, method="euler")  # a tail of one row, g**2: x * x is 1 ulp off pow there
+def test_sweep_tail_and_first_non_finite_step_match_whole_table(log_dt, steps, method):
+    """The sweep builds only the tail rows of ``g**k``: their mean has the
+    bits of the whole table's tail mean, and where the table has a row that
+    is not finite the sweep names the same first step."""
+    dt = 10.0**log_dt
+    sc = recovery_scenario(sim=rk.SimSettings(dt=dt, t_end=steps * dt, method=method))
+    sys = system_of(sc)
+    steps = dynamics._steps(sc.sim)
+    growth = dynamics._growth(sys, sc.sim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = growth ** np.arange(steps + 1)[:, None]
+    bad = np.flatnonzero(~np.isfinite(whole).all(axis=1))
+    if bad.size:
+        event("non-finite")
+        with pytest.raises(rk.NumericalError) as info:
+            rk.sweep_impulse_angles(sc, sys, 4)
+        assert str(info.value) == f"non-finite state at step {bad[0]} (t={bad[0] * sc.sim.dt:.6g})"
+        return
+    tail = dynamics._tail(steps + 1)
+    k = max(1, int(round(dynamics.TAIL_FRACTION * (steps + 1))))
+    got = dynamics._modal_powers(growth, tail.start, tail.stop).mean(axis=0)
+    assert same_bits(got, whole[-k:].mean(axis=0))
+    # the rest of the sweep as it was, on the whole table's tail mean
+    fw, vec = sc.framework, sys.spectrum[1]
+    angles = 2.0 * np.pi * np.arange(4) / 4
+    jumps = sys.B @ np.vstack([np.cos(angles), np.sin(angles)]) * sc.impulse
+    tails = vec @ (whole[-k:].mean(axis=0)[:, None] * (vec.T @ jumps))
+    finals = gathered_edge_errors(fw, tails.T + fw.positions, rk.rigidity_function(fw, fw.positions))
+    assert same_bits(rk.sweep_impulse_angles(sc, sys, 4)[:, 3], np.abs(finals).max(axis=1))
+
+
 def add_at_rhs(fw, r_star):
     """The gradient-flow right-hand side as two ``np.add.at`` scatters, the
     form that ``_gradient_rhs`` replaced; kept as its oracle."""
