@@ -59,10 +59,11 @@ CHECK_ATOL = 1e-12
 # fields formatted per write of a CSV file, and parsed per read of one
 CSV_CHUNK_CELLS = 1 << 12
 # largest float64 table, in bytes, that a run may build: max(m, nd)^2 for R
-# and the factors U (m x m) and V^T (nd x nd) of its SVD; for dichotomy also
-# a trajectory's (steps + 1) x max(nd, m) states or edge errors, and the
-# sweep's N x max(nd, m) rows. A run holds a few tables of that size at once,
-# so larger sizes are refused before anything is allocated or written.
+# and the factors of its SVD, U (m x m, built by the call and dropped at once)
+# and V^T (nd x nd); for dichotomy also a trajectory's (steps + 1) x nd
+# states, and the sweep's N x max(nd, m) final states and edge errors. A run
+# holds a few tables of that size at once, so larger sizes are refused before
+# anything is allocated or written.
 ARRAY_BUDGET_BYTES = 1 << 30
 
 __all__ = ["main", "EXIT_OK", "EXIT_INPUT", "EXIT_NUMERICAL"]
@@ -382,9 +383,8 @@ def cmd_dichotomy(args) -> int:
         raise ValidationError(f"--sweep: the number of angles must be 0 or positive, got {args.sweep}")
     scenario = _load_scenario(args)
     fw = scenario.framework
-    width = max(fw.n * fw.d, fw.m)  # states or exact edge errors, whichever is wider
-    _check_budget("trajectory", _steps(scenario.sim) + 1, width)
-    _check_budget("sweep", args.sweep, width)
+    _check_budget("trajectory", _steps(scenario.sim) + 1, fw.n * fw.d)  # edge errors go in row blocks
+    _check_budget("sweep", args.sweep, max(fw.n * fw.d, fw.m))  # final states, then all their edge errors
 
     def runner(out_dir: Path) -> list[str]:
         sys_ = linearize(scenario.framework, scenario.actuator, scenario.sensor, scenario.tol)
@@ -405,6 +405,7 @@ def cmd_dichotomy(args) -> int:
         if nl_trajectory is not None:
             _write_trajectory_csv(nl_trajectory, out_dir / "trajectory_nonlinear.csv")
             files.append("trajectory_nonlinear.csv")
+        del trajectory, nl_trajectory  # written; the sweep need not hold them
         if args.sweep:
             table = sweep_impulse_angles(scenario, sys_, args.sweep)
             _write_csv(

@@ -96,7 +96,7 @@ class LinearizedSystem:
         """Eigenvalues of ``A`` ascending and their orthonormal eigenvectors,
         read-only: with ``R = U diag(s) V^T``, ``-s**2`` padded with zeros to
         nd, and the columns of ``V``."""
-        _, s, vt = self.rigidity.svd
+        s, vt = self.rigidity.svd
         lam = np.zeros(self.dim)
         with np.errstate(over="ignore"):
             lam[: s.size] = -(s**2)

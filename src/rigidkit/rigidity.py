@@ -54,8 +54,9 @@ def _default_rank_tol(s: np.ndarray, shape) -> float:
 class RigidityMatrix:
     """Jacobian of the rigidity function at a configuration.
 
-    Owns the one SVD of its entries, which also gives the eigenpairs of
-    ``A = -R^T R``, and the run's tolerances: the rank at the cutoff
+    Owns the one SVD of its entries, kept as the factors a run reads (the
+    singular values and ``V^T``, which also give the eigenpairs of
+    ``A = -R^T R``; not U), and the run's tolerances: the rank at the cutoff
     ``tol.rank`` (scale-aware by default), which the flex space, the
     deformation space, the classification, the self-stresses and the zero
     eigenspace of ``A`` all read, and the subspace tolerance ``subspace_tol``.
@@ -75,19 +76,21 @@ class RigidityMatrix:
         return self.entries.shape
 
     @cached_property
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Full SVD ``(U, s, Vt)`` of the entries, computed once, read-only."""
-        factors = np.linalg.svd(self.entries, full_matrices=True)
-        for f in factors:
-            f.setflags(write=False)
-        return tuple(factors)
+    def svd(self) -> tuple[np.ndarray, np.ndarray]:
+        """Singular values ``s`` and the full ``Vt`` (nd x nd) of the entries,
+        computed once, read-only. The full SVD also builds U (m x m), which
+        nothing reads, so it is dropped as soon as the call returns."""
+        _, s, vt = np.linalg.svd(self.entries, full_matrices=True)
+        s.setflags(write=False)
+        vt.setflags(write=False)
+        return s, vt
 
     @cached_property
     def rank(self) -> int:
         """Number of singular values above the rank cutoff, computed once.
         The d translations are exact flexes, so a ``tol.rank`` that gives a
         rank above ``nd - d`` counts rounding noise and is refused."""
-        s = self.svd[1]
+        s = self.svd[0]
         cutoff = _default_rank_tol(s, self.shape) if self.tol.rank is None else self.tol.rank
         rank, most = int(np.sum(s > cutoff)), self.shape[1] - self.framework.d
         if self.tol.rank is not None and rank > most:
@@ -205,20 +208,21 @@ def rbm_basis(fw: Framework) -> RbmBasis:
 
 def flex_space(rm: RigidityMatrix) -> Subspace:
     """Infinitesimal flexes: the numerical nullspace of the rigidity matrix."""
-    return Subspace(basis=rm.svd[2][rm.rank :].T, tol=rm.subspace_tol)
+    return Subspace(basis=rm.svd[1][rm.rank :].T, tol=rm.subspace_tol)
 
 
 def self_stress_space(rm: RigidityMatrix) -> Subspace:
     """Self-stresses: the nullspace of the transposed rigidity matrix at the
-    run's rank ``rm.rank``, from an SVD of its own (the cached U spans it in
-    another basis)."""
+    run's rank ``rm.rank``, from an SVD of its own (R's U spans it in another
+    basis, but is not kept). ``Subspace`` copies the rows it reads, so the
+    m x m factor is freed on return."""
     vt = np.linalg.svd(rm.entries.T, full_matrices=True)[2]
     return Subspace(basis=vt[rm.rank :].T, tol=rm.subspace_tol)
 
 
 def deformation_space(rm: RigidityMatrix) -> Subspace:
     """Infinitesimal deformations: the row space of the rigidity matrix."""
-    return Subspace(basis=rm.svd[2][: rm.rank].T, tol=rm.subspace_tol)
+    return Subspace(basis=rm.svd[1][: rm.rank].T, tol=rm.subspace_tol)
 
 
 def rigid_motion_dim(d: int) -> int:

@@ -343,10 +343,12 @@ def test_dichotomy_negative_sweep_leaves_the_run_untouched(tmp_path, capsys, cas
 
 
 
-def test_dichotomy_trajectory_budget_counts_the_edge_errors(tmp_path, capsys, monkeypatch):
-    """K6 in the plane has 15 edges against 12 coordinates, so each of the
-    101 rows of its trajectory (dt 0.02 to t 2) keeps more exact edge errors
-    than states: the trajectory's table is 101 x 15 floats."""
+def test_dichotomy_budget_counts_edge_errors_in_the_sweep_only(tmp_path, capsys, monkeypatch):
+    """K6 in the plane has 15 edges against 12 coordinates. Its trajectory
+    (dt 0.02 to t 2) keeps 101 x 12 states, and its exact edge errors go out
+    a block of rows at a time, so the trajectory's table is 101 x 12 floats.
+    The sweep holds the edge errors of every angle at once: 16 angles take
+    16 x 15 floats."""
     angles = np.arange(6) * np.pi / 3
     k6 = write_scenario(
         tmp_path / "k6.json",
@@ -357,12 +359,17 @@ def test_dichotomy_trajectory_budget_counts_the_edge_errors(tmp_path, capsys, mo
         ),
     )
     out = tmp_path / "run"
-    monkeypatch.setattr(cli, "ARRAY_BUDGET_BYTES", 101 * 15 * 8 - 1)
+    monkeypatch.setattr(cli, "ARRAY_BUDGET_BYTES", 101 * 12 * 8 - 1)
     code, line = refused_dichotomy(capsys, k6, out, "--dt", 0.02, "--t-end", 2)
-    assert (code, line) == (EXIT_INPUT, "error: trajectory: 101 x 15 floats take 12120 bytes, over the budget of 12119")
+    assert (code, line) == (EXIT_INPUT, "error: trajectory: 101 x 12 floats take 9696 bytes, over the budget of 9695")
     assert not out.exists()
-    monkeypatch.setattr(cli, "ARRAY_BUDGET_BYTES", 101 * 15 * 8)
+    monkeypatch.setattr(cli, "ARRAY_BUDGET_BYTES", 101 * 12 * 8)
     assert run(["dichotomy", k6, "--out", out, "--dt", 0.02, "--t-end", 2]) == EXIT_OK
+    monkeypatch.setattr(cli, "ARRAY_BUDGET_BYTES", 16 * 15 * 8 - 1)
+    code, line = refused_dichotomy(capsys, k6, out, "--dt", 0.2, "--t-end", 0.2, "--sweep", 16)
+    assert (code, line) == (EXIT_INPUT, "error: sweep: 16 x 15 floats take 1920 bytes, over the budget of 1919")
+    monkeypatch.setattr(cli, "ARRAY_BUDGET_BYTES", 16 * 15 * 8)
+    assert run(["dichotomy", k6, "--out", out, "--dt", 0.2, "--t-end", 0.2, "--sweep", 16]) == EXIT_OK
 
 
 @pytest.mark.parametrize("command", ["analyze", "modes", "dichotomy"])
@@ -523,7 +530,7 @@ def test_subspace_dims_add_up_at_every_singular_value_cutoff(tmp_path):
     deformations = nd, with the rank that ``report.json`` records."""
     path = DEMO_SCENARIOS / "square_diagonal.json"
     rm = rk.rigidity_matrix(rk.load_scenario(path).framework)
-    for k, cutoff in enumerate(rm.svd[1].tolist()):
+    for k, cutoff in enumerate(rm.svd[0].tolist()):
         out = tmp_path / str(k)
         assert run(["analyze", path, "--out", out, "--tol-rank", repr(cutoff)]) == EXIT_OK
         report = load_json(out / "report.json")

@@ -10,6 +10,7 @@ from conftest import (
     collinear_path,
     complete_k4,
     four_cycle,
+    lattice_scenario_dict,
     no_edges,
     nullspace,
     random_rigid_framework,
@@ -238,7 +239,36 @@ def test_flex_and_deformation_spaces_complement(assorted_frameworks):
             assert rk.contains(oracle_deform, deform) and rk.contains(deform, oracle_deform)
         assert rm.svd is rm.svd  # computed once
         with pytest.raises(ValueError):
-            rm.svd[2][0, 0] = 1.0
+            rm.svd[1][0, 0] = 1.0
+
+
+def complete_graph(n: int) -> rk.Framework:
+    """K_n at random planar positions: m = n(n-1)/2 edges, far more than nd."""
+    rng = np.random.default_rng(n)
+    return rk.Framework.from_points(rng.uniform(-1, 1, size=(n, 2)), [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def lattice120() -> rk.Framework:
+    data = lattice_scenario_dict()
+    return rk.Framework.from_points(data["positions"], [(i - 1, j - 1) for i, j in data["edges"]])
+
+
+@pytest.mark.parametrize(
+    "make, m, nd",
+    [(four_cycle, 4, 8), (square_with_diagonal, 5, 8), (lattice120, 317, 240), (lambda: complete_graph(20), 190, 40)],
+    ids=["flexible", "minimally-rigid", "lattice120", "k20"],
+)
+def test_cached_svd_is_numpys_full_svd_without_u(make, m, nd):
+    """``rm.svd`` holds the singular values and V^T of numpy's full SVD of
+    the entries, bit for bit, and no m x m factor; the self-stress basis is
+    a copy, not a view that keeps its own SVD's m x m V^T alive."""
+    fw = make()
+    rm = rk.rigidity_matrix(fw)
+    assert (fw.m, fw.n * fw.d) == (m, nd)
+    _, s, vt = np.linalg.svd(rm.entries, full_matrices=True)
+    assert [f.shape for f in rm.svd] == [(min(m, nd),), (nd, nd)]
+    assert np.array_equal(rm.svd[0], s) and np.array_equal(rm.svd[1], vt)
+    assert rk.self_stress_space(rm).basis.base is None
 
 
 def test_jacobian_oracle_random_frameworks_both_dimensions():
