@@ -61,9 +61,10 @@ CSV_CHUNK_CELLS = 1 << 12
 # largest float64 table, in bytes, that a run may build: max(m, nd)^2 for R
 # and the factors of its SVD, U (m x m, built by the call and dropped at once)
 # and V^T (nd x nd); for dichotomy also a trajectory's (steps + 1) x nd
-# states, and the sweep's N x max(nd, m) final states and edge errors. A run
-# holds a few tables of that size at once, so larger sizes are refused before
-# anything is allocated or written.
+# states (written in row blocks, but built whole by a library caller that
+# reads Trajectory.states), and the sweep's N x max(nd, m) final states and
+# edge errors. A run holds a few tables of that size at once, so larger sizes
+# are refused before anything is allocated or written.
 ARRAY_BUDGET_BYTES = 1 << 30
 
 __all__ = ["main", "EXIT_OK", "EXIT_INPUT", "EXIT_NUMERICAL"]
@@ -121,11 +122,15 @@ def _write_csv_blocks(path: Path, header: list[str], blocks) -> None:
                 fh.write("".join(lines))
 
 
-def _write_trajectory_csv(traj, path: Path) -> None:
+def _write_trajectory_csv(traj, path: Path) -> np.ndarray:
     """Columns t, p_1x, p_1y, ..., e_1, ..., e_m, V with absolute positions
-    and exact edge errors, for either kind of trajectory. The table, edge
-    errors and potential included, is built a block of about
-    ``CSV_CHUNK_CELLS`` fields at a time."""
+    and exact edge errors, for either kind of trajectory, from one pass over
+    its blocks. The table, edge errors and potential included, is built a
+    block of about ``CSV_CHUNK_CELLS`` fields at a time. Returns the state
+    rows of the tail, kept as they pass, so that a flow stepped while it is
+    written need not be stepped again for its final means."""
+    from .dynamics import _with_tail
+
     fw = traj.framework
     header = (
         ["t"]
@@ -134,12 +139,18 @@ def _write_trajectory_csv(traj, path: Path) -> None:
         + ["V"]
     )
     step = max(1, CSV_CHUNK_CELLS // len(header))
+    tail = []
 
-    def block(lo: int) -> np.ndarray:
-        rows = slice(lo, lo + step)
-        return np.column_stack([traj.times[rows], *traj.rows(rows)])
+    def chunks():
+        lo = 0
+        for states in _with_tail(traj, tail):
+            for k in range(lo, lo + len(states), step):
+                rows = states[k - lo : k - lo + step]
+                yield np.column_stack([np.arange(k, k + len(rows)) * traj.dt, *traj.values(rows)])
+            lo += len(states)
 
-    _write_csv_blocks(path, header, map(block, range(0, len(traj.times), step)))
+    _write_csv_blocks(path, header, chunks())
+    return np.concatenate(tail)
 
 
 def _load_scenario(args) -> Scenario:
@@ -376,23 +387,29 @@ def _check_budget(what: str, rows: int, cols: int) -> None:
 
 
 def cmd_dichotomy(args) -> int:
-    from .dynamics import _steps, shape_recovery_experiment, sweep_impulse_angles
+    from .dynamics import _impulse_flow, _steps, shape_recovery_experiment, sweep_impulse_angles
     from .modes import linearize
 
     if args.sweep < 0:
         raise ValidationError(f"--sweep: the number of angles must be 0 or positive, got {args.sweep}")
     scenario = _load_scenario(args)
     fw = scenario.framework
-    _check_budget("trajectory", _steps(scenario.sim) + 1, fw.n * fw.d)  # edge errors go in row blocks
+    _check_budget("trajectory", _steps(scenario.sim) + 1, fw.n * fw.d)  # the states, as Trajectory.states builds them
     _check_budget("sweep", args.sweep, max(fw.n * fw.d, fw.m))  # final states, then all their edge errors
 
     def runner(out_dir: Path) -> list[str]:
         sys_ = linearize(scenario.framework, scenario.actuator, scenario.sensor, scenario.tol)
-        outcome, trajectory, nl_trajectory = shape_recovery_experiment(
-            scenario, sys_, nonlinear=args.nonlinear
-        )
-        save_scenario(scenario, out_dir / "scenario.json")
+        outcome, trajectory, _ = shape_recovery_experiment(scenario, sys_)
         files = ["scenario.json", "outcome.json", "trajectory.csv"]
+        if args.nonlinear:
+            # stepped as it is written, first, so that a flow that is not
+            # finite leaves every file as it was
+            flow = _impulse_flow(scenario, sys_)
+            tail = _write_trajectory_csv(flow, out_dir / "trajectory_nonlinear.csv")
+            outcome["nonlinear_final_edge_errors"] = flow.values(tail)[1].mean(axis=0)
+            files.append("trajectory_nonlinear.csv")
+            del tail
+        save_scenario(scenario, out_dir / "scenario.json")
         dump_json(
             {
                 "command": "dichotomy",
@@ -402,10 +419,6 @@ def cmd_dichotomy(args) -> int:
             out_dir / "outcome.json",
         )
         _write_trajectory_csv(trajectory, out_dir / "trajectory.csv")
-        if nl_trajectory is not None:
-            _write_trajectory_csv(nl_trajectory, out_dir / "trajectory_nonlinear.csv")
-            files.append("trajectory_nonlinear.csv")
-        del trajectory, nl_trajectory  # written; the sweep need not hold them
         if args.sweep:
             table = sweep_impulse_angles(scenario, sys_, args.sweep)
             _write_csv(

@@ -27,13 +27,16 @@ bit for bit: the step map is a pure function of the state, so every later
 row equals that one and is copied, and the trajectory is the one a full
 stepped run gives.
 
-A trajectory holds its states and nothing else per step: the exact edge
-errors and the potential are computed for a block of rows when they are
-read, so the states are the only tables whose size grows with the step
-count. The linearized model builds its ``g**k`` table whole, because a
-matmul in row blocks rounds differently, and drops it before anything else
-is built; the angle sweep builds only the tail rows it averages, and scans
-every row in blocks only when the last one is not finite.
+A trajectory is made a block of rows at a time and keeps no table whose
+size grows with the step count: ``dichotomy`` writes each block and drops
+it, keeping only the tail rows that the final means read. The linearized
+model's blocks are rows of ``V diag(g**k) V^T x0``, all of one height, the
+last one ending at the final step and overlapping the one before it: a
+matmul of ``g**k`` rows has the bits of the whole table's where its height
+is that of every other block, and may round differently where a block is
+shorter (measured with numpy's OpenBLAS). The angle sweep builds only the
+tail rows it averages, and scans every row in blocks only when the last
+one is not finite.
 
 The nonlinear step makes few numpy calls, since at small n their fixed
 cost is the step's cost: the edge vectors are gathered straight from the
@@ -52,6 +55,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -85,49 +90,83 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled states of one simulation run.
+    """Uniformly sampled states of one simulation run, ``count`` rows ``dt``
+    apart.
 
-    ``states`` holds absolute configurations for the nonlinear flow and
-    deviations from the reference for the linearized model. It is the only
-    table kept: :meth:`rows` computes, for a block of rows, the absolute
-    configurations, their exact squared-length errors against ``r_star``
-    and the potential, half the errors' squared norm per row.
-    ``edge_errors`` and ``potential`` are :meth:`rows` of every row.
+    ``blocks()`` makes the states a block of rows at a time, on every pass:
+    absolute configurations for the nonlinear flow and deviations from the
+    reference for the linearized model. ``states`` builds the whole table
+    when it is first read, and keeps it. :meth:`values` computes, for a
+    block of state rows, the absolute configurations, their exact
+    squared-length errors against ``r_star`` and the potential, half the
+    errors' squared norm per row.
     """
 
     kind: str  # "nonlinear" | "lti"
-    times: np.ndarray  # (T,)
-    states: np.ndarray  # (T, n*d)
     framework: Framework
     r_star: np.ndarray  # (m,) squared edge lengths of the reference
+    dt: float
+    count: int
+    blocks: Callable[[], Iterable[np.ndarray]]  # (rows, n*d) blocks of the states
 
-    def rows(self, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Absolute configurations, exact edge errors and potential of ``rows``,
-        each row's values bit for bit those of every other block height."""
-        configurations = self.states[rows]
-        if self.kind == "lti":
-            configurations = configurations + self.framework.positions
+    @cached_property
+    def states(self) -> np.ndarray:
+        """(count, n*d) table of every state."""
+        return np.concatenate(list(self.blocks()))
+
+    @property
+    def times(self) -> np.ndarray:
+        """(count,) sample times."""
+        return np.arange(self.count) * self.dt
+
+    def values(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Absolute configurations, exact edge errors and potential of a block
+        of state rows, each row's values bit for bit those of every other
+        block height."""
+        configurations = states + self.framework.positions if self.kind == "lti" else states
         errors = _edge_errors_of_states(self.framework, configurations, self.r_star)
         return configurations, errors, _potential(errors)
 
     @property
     def edge_errors(self) -> np.ndarray:
-        """(T, m) exact edge errors of every row, column-major."""
-        return self.rows()[1]
+        """(count, m) exact edge errors of every row, column-major."""
+        return self.values(self.states)[1]
 
     @property
     def potential(self) -> np.ndarray:
-        """(T,) potential of every row."""
-        return self.rows()[2]
+        """(count,) potential of every row."""
+        return self.values(self.states)[2]
 
     def tail_state(self) -> np.ndarray:
         """Mean state over the trailing ``TAIL_FRACTION`` of samples."""
-        return self.states[_tail(len(self.states))].mean(axis=0)
+        tail = []
+        for _ in _with_tail(self, tail):
+            pass
+        return np.concatenate(tail).mean(axis=0)
 
 
 def _tail(count: int) -> slice:
     """The trailing ``TAIL_FRACTION`` of ``count`` rows, at least one."""
     return slice(count - max(1, int(round(TAIL_FRACTION * count))), count)
+
+
+def _with_tail(traj: Trajectory, tail: list):
+    """The blocks of one pass over ``traj``, with its state rows of
+    ``_tail(traj.count)`` appended to ``tail`` as they go by."""
+    start, lo = _tail(traj.count).start, 0
+    for block in traj.blocks():
+        if lo + len(block) > start:
+            tail.append(block[max(0, start - lo) :])
+        lo += len(block)
+        yield block
+
+
+def _block_height(count: int, width: int) -> int:
+    """Rows per block of a trajectory of ``count`` rows of ``width`` floats,
+    two at least: a linearized block's matmul holds two such tables, its
+    ``g**k`` rows and its states, of about ``EDGE_BLOCK_CELLS`` cells in
+    all."""
+    return min(count, max(2, EDGE_BLOCK_CELLS // (2 * width)))
 
 
 def _edge_errors_of_states(fw: Framework, states: np.ndarray, r_star: np.ndarray) -> np.ndarray:
@@ -200,40 +239,33 @@ def _raise_if_non_finite(rows: np.ndarray, settings: SimSettings, first_step: in
         raise NumericalError(f"non-finite state at step {step} (t={step * settings.dt:.6g})")
 
 
-def _integrate(rhs, y0: np.ndarray, settings: SimSettings) -> np.ndarray:
-    """The one stepping loop, used by the nonlinear flow.
+def _integrate(rhs, y0: np.ndarray, settings: SimSettings):
+    """The one stepping loop, used by the nonlinear flow: yields the rows,
+    from ``y0`` on, in blocks of ``_block_height`` rows.
 
     The step map is a pure function of the row, so once a step returns its
     input bit for bit every later row is that row too: the loop fills them
-    and stops. The comparison is on the bytes, not the values, because
-    ``-0.0 == 0.0`` and the next step may tell them apart.
+    and stops stepping. The comparison is on the bytes, not the values,
+    because ``-0.0 == 0.0`` and the next step may tell them apart.
     """
-    states = np.empty((_steps(settings) + 1, y0.size))
-    states[0] = y = y0
-    bits = y0.tobytes()
+    count = _steps(settings) + 1
+    height = _block_height(count, y0.size)
     step = _stepper(rhs, settings.dt, settings.method)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, len(states)):
-            if not np.isfinite(y).all():
-                break  # the rows left unset follow the first non-finite one
-            states[k] = y = step(y)
-            new_bits = y.tobytes()
-            if new_bits == bits:
-                states[k + 1 :] = y
-                break
-            bits = new_bits
-    _raise_if_non_finite(states, settings)
-    return states
-
-
-def _trajectory(kind: str, states, fw: Framework, r_star, settings: SimSettings) -> Trajectory:
-    return Trajectory(
-        kind=kind,
-        times=np.arange(len(states)) * settings.dt,
-        states=states,
-        framework=fw,
-        r_star=r_star,
-    )
+    y, bits, moving = y0, y0.tobytes(), True
+    for lo in range(0, count, height):
+        block = np.empty((min(height, count - lo), y0.size))
+        block[:] = y  # row 0 of the first block, and every row once at rest
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1 if lo == 0 else 0, len(block) if moving else 0):
+                block[i] = y = step(y)
+                new_bits = y.tobytes()
+                if new_bits == bits:
+                    block[i + 1 :] = y
+                    moving = False
+                    break
+                bits = new_bits
+        _raise_if_non_finite(block, settings, lo)
+        yield block
 
 
 def _gradient_rhs(fw: Framework, r_star: np.ndarray):
@@ -267,14 +299,29 @@ def _gradient_rhs(fw: Framework, r_star: np.ndarray):
     return rhs
 
 
-def simulate_nonlinear(fw: Framework, p0, settings: SimSettings = SimSettings()) -> Trajectory:
-    """Integrate the nonlinear gradient flow from an absolute configuration."""
+def _flow(fw: Framework, p0, settings: SimSettings) -> Trajectory:
+    """The nonlinear gradient flow from an absolute configuration, stepped
+    afresh on every pass over its blocks until ``states`` is read."""
     start = np.asarray(p0, dtype=float).ravel()
     if start.size != fw.n * fw.d:
         raise ValidationError(f"state length: expected {fw.n * fw.d}, got {start.size}")
     r_star = rigidity_function(fw, fw.positions)
-    states = _integrate(_gradient_rhs(fw, r_star), start, settings)
-    return _trajectory("nonlinear", states, fw, r_star, settings)
+    rhs = _gradient_rhs(fw, r_star)
+    count = _steps(settings) + 1
+    return Trajectory("nonlinear", fw, r_star, settings.dt, count, lambda: _integrate(rhs, start, settings))
+
+
+def _impulse_flow(scenario: Scenario, sys: LinearizedSystem) -> Trajectory:
+    """The nonlinear flow from the reference plus the impulse's jump."""
+    fw = scenario.framework
+    return _flow(fw, fw.positions + sys.B @ scenario.w0 * scenario.impulse, scenario.sim)
+
+
+def simulate_nonlinear(fw: Framework, p0, settings: SimSettings = SimSettings()) -> Trajectory:
+    """Integrate the nonlinear gradient flow from an absolute configuration."""
+    traj = _flow(fw, p0, settings)
+    traj.states  # stepped and kept now, so a state that is not finite raises here
+    return traj
 
 
 def _growth(sys: LinearizedSystem, settings: SimSettings) -> np.ndarray:
@@ -299,6 +346,26 @@ def _modal_powers(growth: np.ndarray, lo: int, hi: int) -> np.ndarray:
         return (growth ** np.arange(first, hi)[:, None])[lo - first :]
 
 
+def _lti_blocks(sys: LinearizedSystem, start: np.ndarray, settings: SimSettings):
+    """Rows of ``V diag(g**k) V^T start``, in blocks of ``_block_height``
+    rows: the last matmul ends at the final step and overlaps the one
+    before it, and yields only its new rows."""
+    vec = sys.spectrum[1]
+    growth = _growth(sys, settings)
+    count = _steps(settings) + 1
+    height = _block_height(count, start.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = vec.T @ start
+    for lo in range(0, count, height):
+        first = min(lo, count - height)
+        modal = _modal_powers(growth, first, first + height)
+        with np.errstate(over="ignore", invalid="ignore"):
+            modal *= coeffs
+            rows = (modal @ vec.T)[lo - first :]
+        _raise_if_non_finite(rows, settings, lo)
+        yield rows
+
+
 def simulate_lti(sys: LinearizedSystem, dp0, settings: SimSettings = SimSettings()) -> Trajectory:
     """The method's iterates on the linearized model from a deviation
     state, in closed form: row k is ``V diag(g**k) V^T dp0``.
@@ -306,19 +373,20 @@ def simulate_lti(sys: LinearizedSystem, dp0, settings: SimSettings = SimSettings
     An impulse of direction ``w0`` and magnitude ``s`` corresponds to the
     initial deviation ``B @ w0 * s``. Edge errors along the trajectory are
     the exact ones of the absolute configurations ``reference + deviation``.
+    No row is kept: this call makes one pass over the blocks, so that a row
+    that is not finite raises here.
     """
     start = np.asarray(dp0, dtype=float).ravel()
     if start.size != sys.dim:
         raise ValidationError(f"state length: expected {sys.dim}, got {start.size}")
-    vec = sys.spectrum[1]
-    modal = _modal_powers(_growth(sys, settings), 0, _steps(settings) + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        modal *= vec.T @ start
-        states = modal @ vec.T
-    del modal  # before the trajectory's other arrays are built
-    _raise_if_non_finite(states, settings)
     fw = sys.framework
-    return _trajectory("lti", states, fw, rigidity_function(fw, fw.positions), settings)
+    traj = Trajectory(
+        "lti", fw, rigidity_function(fw, fw.positions), settings.dt, _steps(settings) + 1,
+        lambda: _lti_blocks(sys, start, settings),
+    )
+    for _ in traj.blocks():
+        pass
+    return traj
 
 
 def steady_state(sys: LinearizedSystem, w0, magnitude: float = 1.0) -> np.ndarray:
@@ -418,7 +486,7 @@ def shape_recovery_experiment(
     system, and decide recovery vs distortion.
 
     Returns the outcome, the linearized trajectory and, with ``nonlinear``,
-    the nonlinear one (else None). The outcome is the dict written under
+    the nonlinear one, which keeps its states (else None). The outcome is the dict written under
     ``"outcome"`` in ``outcome.json``: the input (``w0``, ``magnitude``,
     ``w0_is_unit``), its ``alignment`` with the rotation block at the
     actuator, the rigid-body ``coefficients`` it excites, the steady-state
@@ -437,8 +505,8 @@ def shape_recovery_experiment(
     """
     _check_planar_system(scenario, sys, "shape recovery experiment")
     fw = scenario.framework
+    classification = classify_rigidity(sys.rigidity)  # R's SVD first, while little else is held
     rbm = sys.rbm  # a degenerate framework is refused before any warning
-    classification = classify_rigidity(sys.rigidity)
     if classification == FLEXIBLE:
         warnings.warn("framework is flexible: the recovery/distortion verdict is withheld", stacklevel=2)
 
@@ -495,8 +563,8 @@ def shape_recovery_experiment(
     }
     if not nonlinear:
         return outcome, traj, None
-    nl_traj = simulate_nonlinear(fw, fw.positions + dp0, scenario.sim)
-    outcome["nonlinear_final_edge_errors"] = nl_traj.rows(_tail(len(nl_traj.states)))[1].mean(axis=0)
+    nl_traj = _impulse_flow(scenario, sys)
+    outcome["nonlinear_final_edge_errors"] = nl_traj.values(nl_traj.states[_tail(nl_traj.count)])[1].mean(axis=0)
     return outcome, traj, nl_traj
 
 
@@ -529,7 +597,7 @@ def sweep_impulse_angles(scenario: Scenario, sys: LinearizedSystem, n_angles: in
     # inf in g fills every row after the first, so a non-finite row leaves
     # the last one non-finite: only then are the rows scanned, in blocks.
     if not np.isfinite(powers[-1]).all():
-        height = max(1, EDGE_BLOCK_CELLS // growth.size)
+        height = _block_height(count, growth.size)
         for lo in range(0, count, height):
             _raise_if_non_finite(_modal_powers(growth, lo, min(lo + height, count)), scenario.sim, lo)
     vec = sys.spectrum[1]

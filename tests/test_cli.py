@@ -950,12 +950,13 @@ def test_plotdata_memory_stays_bounded_on_large_run(lattice_run, tmp_path):
     assert peak < 2**20, peak
 
 
-def test_dichotomy_memory_grows_by_its_two_state_tables(tmp_path):
-    """``dichotomy --nonlinear`` of the square keeps two state tables of
-    (steps + 1) x 8 floats, the linearized and the nonlinear one; edge
-    errors, potentials and CSV text go in blocks of rows. So 7 200 more
-    steps raise the whole call's peak by at most the growth of those two
-    tables, 2 x 8 x 8 x 7 200 bytes, plus 256 KB."""
+def test_dichotomy_memory_grows_by_its_tail_rows_only(tmp_path):
+    """``dichotomy --nonlinear`` of the square makes both trajectories a
+    block of rows at a time and keeps only their tail rows, which the final
+    means read; edge errors, potentials and CSV text go in blocks of rows
+    too. So 7 200 more steps raise the whole call's peak by at most the
+    growth of the tail rows of 8 floats, plus 256 KB (it grew by the two
+    whole state tables before)."""
     square = DEMO_SCENARIOS / "square_diagonal.json"
 
     def peak(steps: int) -> int:
@@ -966,9 +967,30 @@ def test_dichotomy_memory_grows_by_its_two_state_tables(tmp_path):
         assert codes == [EXIT_OK]
         return result
 
+    def tail_rows(steps: int) -> int:
+        tail = rk.dynamics._tail(steps + 1)
+        return tail.stop - tail.start
+
     peak(800)  # imports and first-call caches stay out of the comparison
     small, large = peak(800), peak(8000)
-    assert large - small <= 2 * 8 * 8 * 7200 + 256 * 2**10, (small, large)
+    assert large - small <= 8 * 8 * (tail_rows(8000) - tail_rows(800)) + 256 * 2**10, (small, large)
+
+
+def test_dichotomy_nonlinear_overflow_leaves_an_earlier_run_as_it_was(tmp_path, capsys):
+    """The nonlinear flow is written first and as it is stepped: a flow that
+    overflows after some blocks went to disk exits 3 with the step's line
+    and leaves every file of an earlier run as it was."""
+    out = tmp_path / "run"
+    assert run(["dichotomy", DEMO_SCENARIOS / "square_diagonal.json", "--nonlinear", "--out", out]) == EXIT_OK
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    data = load_json(DEMO_SCENARIOS / "square_diagonal.json")
+    data["impulse"] = 10.0  # the linearized model stays finite; the flow overflows at step 3
+    scenario = write_scenario(tmp_path / "kick.json", data)
+    capsys.readouterr()
+    with mock.patch.object(rk.dynamics, "EDGE_BLOCK_CELLS", 32):  # blocks of two rows
+        assert run(["dichotomy", scenario, "--nonlinear", "--out", out]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical failure: non-finite state at step 3 (t=0.015)\n"
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_plotdata_memory_does_not_grow_with_the_trajectory(tmp_path):

@@ -18,11 +18,13 @@ from conftest import (
     complete_k4,
     four_cycle,
     frameworks_with_node,
+    lattice_scenario_dict,
     no_edges,
     random_rigid_framework,
     square_with_diagonal,
     system_of,
     triangle,
+    write_scenario,
 )
 
 DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
@@ -98,7 +100,7 @@ def whole_table_rows(traj):
     """Configurations, edge errors and potential of a trajectory built whole,
     as ``Trajectory`` held them before it computed them per block of rows:
     the errors column-major from the whole stack, the potential one
-    ``einsum`` over them. Kept as the oracle of ``Trajectory.rows``."""
+    ``einsum`` over them. Kept as the oracle of ``Trajectory.values``."""
     fw = traj.framework
     configurations = traj.states + fw.positions if traj.kind == "lti" else traj.states
     errors = np.asfortranarray(gathered_edge_errors(fw, configurations, traj.r_star))
@@ -123,17 +125,44 @@ def test_trajectory_rows_in_blocks_match_whole_table_bit_for_bit(case, kind, cou
     rng = np.random.default_rng(seed)
     states = rng.normal(size=(count, fw.n * fw.d)) * 10.0 ** rng.uniform(-3, 3, size=(count, fw.n * fw.d))
     r_star = rk.rigidity_function(fw, fw.positions)
-    traj = dynamics.Trajectory(kind, np.arange(count) * 0.1, states, fw, r_star)
+    traj = dynamics.Trajectory(kind, fw, r_star, 0.1, count, lambda: (states,))
     want = whole_table_rows(traj)
-    blocks = [traj.rows(slice(lo, lo + height)) for lo in range(0, count, height)]
+    blocks = [traj.values(states[lo : lo + height]) for lo in range(0, count, height)]
     event("last block of one row" if count % height == 1 else "other last block")
     for got, expected in zip(zip(*blocks), want):
         assert same_bits(np.concatenate(got), expected)
-    assert same_bits(traj.edge_errors, want[1]) and traj.edge_errors.strides == want[1].strides
+    assert same_bits(traj.edge_errors, want[1]) and same_layout(traj.edge_errors, want[1])
     assert same_bits(traj.potential, want[2])
     k = max(1, int(round(dynamics.TAIL_FRACTION * count)))
-    tail = traj.rows(dynamics._tail(count))[1].mean(axis=0)
+    tail = traj.values(states[dynamics._tail(count)])[1].mean(axis=0)
     assert same_bits(tail, want[1][-k:].mean(axis=0))
+
+
+@pytest.mark.parametrize("source", ["triangle", "square_diagonal", "lattice 6x10", "lattice 10x12"])
+def test_lti_blocks_match_whole_table_matmul_bit_for_bit(tmp_path, source):
+    """Every matmul of the linearized trajectory has one height H, the last
+    one ending at the final step, so the rows have the bits of the whole
+    table's ``modal @ vec.T`` (the form the blocks replaced) for nd = 6, 8,
+    120 and 240 and step counts around H."""
+    if source.startswith("lattice"):
+        rows, cols = map(int, source.split()[1].split("x"))
+        path = write_scenario(tmp_path / "lattice.json", lattice_scenario_dict(rows=rows, cols=cols))
+    else:
+        path = DEMO_SCENARIOS / f"{source}.json"
+    sc = rk.load_scenario(path)
+    sys = system_of(sc)
+    height = dynamics._block_height(10**9, sys.dim)
+    dp0 = sys.B @ sc.w0 * sc.impulse
+    vec = sys.spectrum[1]
+    for steps in (1, 2, height - 1, height, height + 1, 8001):
+        settings = replace(sc.sim, t_end=steps * sc.sim.dt)
+        assert dynamics._steps(settings) == steps
+        modal = dynamics._modal_powers(dynamics._growth(sys, settings), 0, steps + 1)
+        modal *= vec.T @ dp0
+        traj = rk.simulate_lti(sys, dp0, settings)
+        sizes = [len(block) for block in traj.blocks()]
+        assert sizes[:-1] == [height] * (len(sizes) - 1) and sum(sizes) == steps + 1, (steps, sizes)
+        assert same_bits(traj.states, modal @ vec.T), (sys.dim, steps)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -191,6 +220,12 @@ def add_at_rhs(fw, r_star):
         return out.ravel()
 
     return rhs
+
+
+def same_layout(a, b):
+    """Equal strides on every axis longer than one: numpy sets a length-one
+    axis's stride as it likes, and no element is read along it."""
+    return [s for s, n in zip(a.strides, a.shape) if n > 1] == [s for s, n in zip(b.strides, b.shape) if n > 1]
 
 
 def same_bits(a, b):
@@ -395,7 +430,7 @@ def test_integrate_stops_only_at_a_bitwise_fixed_point():
         return np.array([0.0, 0.0 if np.signbit(y[0]) else 1.0])
 
     settings = rk.SimSettings(dt=0.5, t_end=2.0, method="euler")
-    states = rk.dynamics._integrate(rhs, np.array([-0.0, 0.0]), settings)
+    states = np.concatenate(list(rk.dynamics._integrate(rhs, np.array([-0.0, 0.0]), settings)))
     assert np.array_equal(states[1], states[0])
     assert same_bits(states, [[-0.0, 0.0], [0.0, 0.0], [0.0, 0.5], [0.0, 1.0], [0.0, 1.5]])
 
