@@ -402,8 +402,8 @@ def cmd_dichotomy(args) -> int:
         outcome, trajectory, _ = shape_recovery_experiment(scenario, sys_)
         files = ["scenario.json", "outcome.json", "trajectory.csv"]
         if args.nonlinear:
-            # stepped as it is written, first, so that a flow that is not
-            # finite leaves every file as it was
+            # first, stepped as it is written, so that a flow that is not
+            # finite leaves every file as it was; its tail rows go once read
             flow = _impulse_flow(scenario, sys_)
             tail = _write_trajectory_csv(flow, out_dir / "trajectory_nonlinear.csv")
             outcome["nonlinear_final_edge_errors"] = flow.values(tail)[1].mean(axis=0)

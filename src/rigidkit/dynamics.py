@@ -31,12 +31,12 @@ A trajectory is made a block of rows at a time and keeps no table whose
 size grows with the step count: ``dichotomy`` writes each block and drops
 it, keeping only the tail rows that the final means read. The linearized
 model's blocks are rows of ``V diag(g**k) V^T x0``, all of one height, the
-last one ending at the final step and overlapping the one before it: a
-matmul of ``g**k`` rows has the bits of the whole table's where its height
-is that of every other block, and may round differently where a block is
-shorter (measured with numpy's OpenBLAS). The angle sweep builds only the
-tail rows it averages, and scans every row in blocks only when the last
-one is not finite.
+last one ending at the final step and overlapping the one before it. With
+numpy's OpenBLAS such a matmul gives the whole table's rows bit for bit at
+every width up to 128 and at the multiples of 8 up to 296 (as measured);
+a shorter block may round differently, and so may other widths. The angle
+sweep builds only the tail rows it averages, and scans every row in
+blocks only when the last one is not finite.
 
 The nonlinear step makes few numpy calls, since at small n their fixed
 cost is the step's cost: the edge vectors are gathered straight from the
@@ -72,7 +72,8 @@ from .rigidity import (
 from .subspaces import NumericalError, project
 
 TAIL_FRACTION = 0.05
-# gathered edge-vector coordinates per block of the exact edge errors
+# gathered edge-vector coordinates per block of the exact edge errors, and
+# the cells of a linearized trajectory block's two tables (_block_height)
 EDGE_BLOCK_CELLS = 1 << 15
 
 __all__ = [
