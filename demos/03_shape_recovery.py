@@ -54,7 +54,7 @@ sc = rk.Scenario(
     framework=fw, actuator=actuator, sensor=2,
     w0=r_i / np.linalg.norm(r_i), sim=rk.SimSettings(dt=0.002, t_end=40.0),
 )
-nl, _, _ = rk.shape_recovery_experiment(sc, sys, nonlinear=True)
+nl, _, flow = rk.shape_recovery_experiment(sc, sys)
 print("\nnonlinear comparison, aligned impulse:")
 print("  linearized final edge error:", np.abs(nl["simulated_final_edge_errors"]).max())
-print("  nonlinear final edge error: ", np.abs(nl["nonlinear_final_edge_errors"]).max())
+print("  nonlinear final edge error: ", np.abs(flow.tail_edge_errors()).max())

@@ -17,13 +17,13 @@ import importlib
 _EXPORTS = {
     name: module
     for module, names in {
-        "dynamics": """controllable_plane rbm_coefficients rbm_motion_from_coords
-            shape_recovery_experiment simulate_lti simulate_nonlinear steady_state
-            sweep_impulse_angles""",
+        "dynamics": """rbm_coefficients rbm_motion_from_coords shape_recovery_experiment
+            simulate_lti simulate_nonlinear steady_state sweep_impulse_angles""",
         "framework": """Framework Scenario ScenarioParseError SimSettings ToleranceOverrides
             ValidationError block load_scenario save_scenario scenario_to_dict""",
-        "modes": """LinearizedSystem classify_modes eigenspaces elementary_rotations
-            global_rotation_subspace hidden_mode_checks linearize local_rotation_subspace""",
+        "modes": """LinearizedSystem classify_modes controllable_plane eigenspaces
+            elementary_rotations global_rotation_subspace hidden_mode_checks linearize
+            local_rotation_subspace""",
         "rigidity": """FLEXIBLE INFINITESIMALLY_RIGID MINIMALLY_RIGID RIGID_WITH_REDUNDANCY
             RigidityMatrix classify_rigidity deformation_space flex_space rbm_basis
             rigidity_function rigidity_matrix self_stress_space""",

@@ -122,15 +122,11 @@ def _write_csv_blocks(path: Path, header: list[str], blocks) -> None:
                 fh.write("".join(lines))
 
 
-def _write_trajectory_csv(traj, path: Path) -> np.ndarray:
+def _write_trajectory_csv(traj, path: Path) -> None:
     """Columns t, p_1x, p_1y, ..., e_1, ..., e_m, V with absolute positions
     and exact edge errors, for either kind of trajectory, from one pass over
     its blocks. The table, edge errors and potential included, is built a
-    block of about ``CSV_CHUNK_CELLS`` fields at a time. Returns the state
-    rows of the tail, kept as they pass, so that a flow stepped while it is
-    written need not be stepped again for its final means."""
-    from .dynamics import _with_tail
-
+    block of about ``CSV_CHUNK_CELLS`` fields at a time."""
     fw = traj.framework
     header = (
         ["t"]
@@ -139,18 +135,16 @@ def _write_trajectory_csv(traj, path: Path) -> np.ndarray:
         + ["V"]
     )
     step = max(1, CSV_CHUNK_CELLS // len(header))
-    tail = []
 
     def chunks():
         lo = 0
-        for states in _with_tail(traj, tail):
+        for states in traj.blocks():
             for k in range(lo, lo + len(states), step):
                 rows = states[k - lo : k - lo + step]
                 yield np.column_stack([np.arange(k, k + len(rows)) * traj.dt, *traj.values(rows)])
             lo += len(states)
 
     _write_csv_blocks(path, header, chunks())
-    return np.concatenate(tail)
 
 
 def _load_scenario(args) -> Scenario:
@@ -387,28 +381,27 @@ def _check_budget(what: str, rows: int, cols: int) -> None:
 
 
 def cmd_dichotomy(args) -> int:
-    from .dynamics import _impulse_flow, _steps, shape_recovery_experiment, sweep_impulse_angles
+    from .dynamics import shape_recovery_experiment, sweep_impulse_angles
     from .modes import linearize
 
     if args.sweep < 0:
         raise ValidationError(f"--sweep: the number of angles must be 0 or positive, got {args.sweep}")
     scenario = _load_scenario(args)
     fw = scenario.framework
-    _check_budget("trajectory", _steps(scenario.sim) + 1, fw.n * fw.d)  # the states, as Trajectory.states builds them
+    _check_budget("trajectory", scenario.sim.samples, fw.n * fw.d)  # the states, as Trajectory.states builds them
     _check_budget("sweep", args.sweep, max(fw.n * fw.d, fw.m))  # final states, then all their edge errors
 
     def runner(out_dir: Path) -> list[str]:
         sys_ = linearize(scenario.framework, scenario.actuator, scenario.sensor, scenario.tol)
-        outcome, trajectory, _ = shape_recovery_experiment(scenario, sys_)
+        outcome, trajectory, flow = shape_recovery_experiment(scenario, sys_)
         files = ["scenario.json", "outcome.json", "trajectory.csv"]
         if args.nonlinear:
             # first, stepped as it is written, so that a flow that is not
-            # finite leaves every file as it was; its tail rows go once read
-            flow = _impulse_flow(scenario, sys_)
-            tail = _write_trajectory_csv(flow, out_dir / "trajectory_nonlinear.csv")
-            outcome["nonlinear_final_edge_errors"] = flow.values(tail)[1].mean(axis=0)
+            # finite leaves every file as it was; that pass keeps the tail rows
+            _write_trajectory_csv(flow, out_dir / "trajectory_nonlinear.csv")
+            outcome["nonlinear_final_edge_errors"] = flow.tail_edge_errors()
             files.append("trajectory_nonlinear.csv")
-            del tail
+            del flow  # and its tail rows, before the other files are made
         save_scenario(scenario, out_dir / "scenario.json")
         dump_json(
             {
@@ -433,8 +426,7 @@ def cmd_dichotomy(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    from .dynamics import controllable_plane
-    from .modes import elementary_rotations, global_rotation_subspace
+    from .modes import controllable_plane, elementary_rotations, global_rotation_subspace
 
     run_dir = Path(args.run_dir)
     scenario_path = run_dir / "scenario.json"

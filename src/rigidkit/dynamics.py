@@ -10,10 +10,10 @@ decided by the alignment of the input direction with the rotational
 rigid-body mode's local velocity at the actuated node.
 
 The recovery/distortion verdict is a first-order statement and is produced
-from the linearized model; a nonlinear comparison run is available behind
-a flag and reported without being asserted against. The experiment and the
-controllable plane return the dicts that ``outcome.json`` and
-``plane.json`` hold.
+from the linearized model; the experiment also returns the nonlinear flow
+from the same jump, not yet stepped, which ``dichotomy --nonlinear`` reports
+without asserting against it. The experiment returns the dict that
+``outcome.json`` holds.
 
 Only the nonlinear flow is stepped. ``A`` is symmetric, so a fixed-step
 method applied to ``x' = A x`` acts mode by mode: step k maps ``x0`` to
@@ -29,7 +29,8 @@ stepped run gives.
 
 A trajectory is made a block of rows at a time and keeps no table whose
 size grows with the step count: ``dichotomy`` writes each block and drops
-it, keeping only the tail rows that the final means read. The linearized
+it, and the trajectory keeps only the tail rows of its first pass that
+ends, which the final means read. The linearized
 model's blocks are rows of ``V diag(g**k) V^T x0``, all of one height, the
 last one ending at the final step and overlapping the one before it. With
 numpy's OpenBLAS such a matmul gives the whole table's rows bit for bit at
@@ -54,14 +55,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .framework import Framework, Scenario, SimSettings, ValidationError, block
-from .modes import LinearizedSystem, _orthogonal_complement_of_vector
+from .modes import LinearizedSystem
 from .rigidity import (
     FLEXIBLE,
     RbmBasis,
@@ -84,7 +85,6 @@ __all__ = [
     "rbm_coefficients",
     "rbm_motion_from_coords",
     "shape_recovery_experiment",
-    "controllable_plane",
     "sweep_impulse_angles",
 ]
 
@@ -94,13 +94,16 @@ class Trajectory:
     """Uniformly sampled states of one simulation run, ``count`` rows ``dt``
     apart.
 
-    ``blocks()`` makes the states a block of rows at a time, on every pass:
-    absolute configurations for the nonlinear flow and deviations from the
-    reference for the linearized model. ``states`` builds the whole table
-    when it is first read, and keeps it. :meth:`values` computes, for a
-    block of state rows, the absolute configurations, their exact
-    squared-length errors against ``r_star`` and the potential, half the
-    errors' squared norm per row.
+    ``make_blocks()`` makes the states a block of rows at a time, afresh on
+    every call: absolute configurations for the nonlinear flow and
+    deviations from the reference for the linearized model. :meth:`blocks`
+    is one pass over them. The first pass that runs to the end keeps the
+    state rows of the trailing ``TAIL_FRACTION``, which :meth:`tail_state`
+    and :meth:`tail_edge_errors` read; a later pass makes the same bits and
+    keeps nothing. ``states`` builds the whole table when it is first read,
+    and keeps it. :meth:`values` computes, for a block of state rows, the
+    absolute configurations, their exact squared-length errors against
+    ``r_star`` and the potential, half the errors' squared norm per row.
     """
 
     kind: str  # "nonlinear" | "lti"
@@ -108,7 +111,20 @@ class Trajectory:
     r_star: np.ndarray  # (m,) squared edge lengths of the reference
     dt: float
     count: int
-    blocks: Callable[[], Iterable[np.ndarray]]  # (rows, n*d) blocks of the states
+    make_blocks: Callable[[], Iterable[np.ndarray]]  # (rows, n*d) blocks of the states
+    _tail_rows: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The blocks of one pass; the first pass that ends keeps its rows
+        of ``_tail(count)``."""
+        start, lo, tail = _tail(self.count).start, 0, []
+        for block in self.make_blocks():
+            if not self._tail_rows and lo + len(block) > start:
+                tail.append(block[max(0, start - lo) :])
+            lo += len(block)
+            yield block
+        if not self._tail_rows:
+            self._tail_rows.append(np.concatenate(tail))
 
     @cached_property
     def states(self) -> np.ndarray:
@@ -138,28 +154,25 @@ class Trajectory:
         """(count,) potential of every row."""
         return self.values(self.states)[2]
 
+    def _tail_states(self) -> np.ndarray:
+        """The kept tail rows, after one pass if no pass has ended."""
+        if not self._tail_rows:
+            for _ in self.blocks():
+                pass
+        return self._tail_rows[0]
+
     def tail_state(self) -> np.ndarray:
         """Mean state over the trailing ``TAIL_FRACTION`` of samples."""
-        tail = []
-        for _ in _with_tail(self, tail):
-            pass
-        return np.concatenate(tail).mean(axis=0)
+        return self._tail_states().mean(axis=0)
+
+    def tail_edge_errors(self) -> np.ndarray:
+        """Mean exact edge errors over the trailing ``TAIL_FRACTION`` of samples."""
+        return self.values(self._tail_states())[1].mean(axis=0)
 
 
 def _tail(count: int) -> slice:
     """The trailing ``TAIL_FRACTION`` of ``count`` rows, at least one."""
     return slice(count - max(1, int(round(TAIL_FRACTION * count))), count)
-
-
-def _with_tail(traj: Trajectory, tail: list):
-    """The blocks of one pass over ``traj``, with its state rows of
-    ``_tail(traj.count)`` appended to ``tail`` as they go by."""
-    start, lo = _tail(traj.count).start, 0
-    for block in traj.blocks():
-        if lo + len(block) > start:
-            tail.append(block[max(0, start - lo) :])
-        lo += len(block)
-        yield block
 
 
 def _block_height(count: int, width: int) -> int:
@@ -227,10 +240,6 @@ def _stepper(rhs, dt: float, method: str):
     return step
 
 
-def _steps(settings: SimSettings) -> int:
-    return max(1, int(round(settings.t_end / settings.dt)))
-
-
 def _raise_if_non_finite(rows: np.ndarray, settings: SimSettings, first_step: int = 0) -> None:
     """NumericalError naming the first step whose row is not finite; row 0
     of ``rows`` is step ``first_step``."""
@@ -249,7 +258,7 @@ def _integrate(rhs, y0: np.ndarray, settings: SimSettings):
     and stops stepping. The comparison is on the bytes, not the values,
     because ``-0.0 == 0.0`` and the next step may tell them apart.
     """
-    count = _steps(settings) + 1
+    count = settings.samples
     height = _block_height(count, y0.size)
     step = _stepper(rhs, settings.dt, settings.method)
     y, bits, moving = y0, y0.tobytes(), True
@@ -308,14 +317,7 @@ def _flow(fw: Framework, p0, settings: SimSettings) -> Trajectory:
         raise ValidationError(f"state length: expected {fw.n * fw.d}, got {start.size}")
     r_star = rigidity_function(fw, fw.positions)
     rhs = _gradient_rhs(fw, r_star)
-    count = _steps(settings) + 1
-    return Trajectory("nonlinear", fw, r_star, settings.dt, count, lambda: _integrate(rhs, start, settings))
-
-
-def _impulse_flow(scenario: Scenario, sys: LinearizedSystem) -> Trajectory:
-    """The nonlinear flow from the reference plus the impulse's jump."""
-    fw = scenario.framework
-    return _flow(fw, fw.positions + sys.B @ scenario.w0 * scenario.impulse, scenario.sim)
+    return Trajectory("nonlinear", fw, r_star, settings.dt, settings.samples, lambda: _integrate(rhs, start, settings))
 
 
 def simulate_nonlinear(fw: Framework, p0, settings: SimSettings = SimSettings()) -> Trajectory:
@@ -353,7 +355,7 @@ def _lti_blocks(sys: LinearizedSystem, start: np.ndarray, settings: SimSettings)
     before it, and yields only its new rows."""
     vec = sys.spectrum[1]
     growth = _growth(sys, settings)
-    count = _steps(settings) + 1
+    count = settings.samples
     height = _block_height(count, start.size)
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = vec.T @ start
@@ -374,15 +376,16 @@ def simulate_lti(sys: LinearizedSystem, dp0, settings: SimSettings = SimSettings
     An impulse of direction ``w0`` and magnitude ``s`` corresponds to the
     initial deviation ``B @ w0 * s``. Edge errors along the trajectory are
     the exact ones of the absolute configurations ``reference + deviation``.
-    No row is kept: this call makes one pass over the blocks, so that a row
-    that is not finite raises here.
+    This call makes one pass over the blocks, so that a row that is not
+    finite raises here; the pass keeps the tail rows that
+    :meth:`Trajectory.tail_state` reads, and no other row.
     """
     start = np.asarray(dp0, dtype=float).ravel()
     if start.size != sys.dim:
         raise ValidationError(f"state length: expected {sys.dim}, got {start.size}")
     fw = sys.framework
     traj = Trajectory(
-        "lti", fw, rigidity_function(fw, fw.positions), settings.dt, _steps(settings) + 1,
+        "lti", fw, rigidity_function(fw, fw.positions), settings.dt, settings.samples,
         lambda: _lti_blocks(sys, start, settings),
     )
     for _ in traj.blocks():
@@ -438,38 +441,6 @@ def rbm_motion_from_coords(rbm: RbmBasis, coords) -> np.ndarray:
     return motion + c[2] * rbm.v_r
 
 
-def controllable_plane(rbm: RbmBasis, node: int) -> dict:
-    """Plane of rigid-body coordinates reachable from a single actuator, as
-    the dict that ``plane.json`` holds.
-
-    ``node`` is 1-based and ``rotation_at_node`` is (r_x, r_y), the
-    rotational mode's local velocity at the node. ``n_c`` is the coordinate
-    vector of the rigid-body motion that the actuator cannot excite,
-    (-r_x, -r_y, 1): every reachable coordinate vector ``(w_x, w_y, r . w)``
-    (an input direction paired with its rotational alignment) is orthogonal
-    to it. ``plane_basis`` holds two orthonormal rows that span that plane,
-    and ``recovery_line`` is the unit vector spanning its intersection with
-    the pure-translation coordinates c_r = 0.
-    """
-    d = rbm.translations.shape[1]
-    if d != 2:
-        raise ValidationError(f"controllable_plane is defined for d=2, got d={d}")
-    r_i = np.array(block(rbm.v_r, node, 2))
-    normal = np.array([-r_i[0], -r_i[1], 1.0])
-    nrm = float(np.hypot(r_i[0], r_i[1]))
-    if nrm > 0.0:
-        recovery_line = np.array([-r_i[1], r_i[0], 0.0]) / nrm
-    else:
-        recovery_line = np.array([1.0, 0.0, 0.0])
-    return {
-        "node": node + 1,
-        "rotation_at_node": r_i,
-        "n_c": normal,
-        "plane_basis": _orthogonal_complement_of_vector(normal).T,
-        "recovery_line": recovery_line,
-    }
-
-
 def _check_planar_system(scenario: Scenario, sys: LinearizedSystem, what: str) -> None:
     if scenario.framework.d != 2:
         raise ValidationError(f"{what} requires d=2, got d={scenario.framework.d}")
@@ -480,22 +451,23 @@ def _check_planar_system(scenario: Scenario, sys: LinearizedSystem, what: str) -
         )
 
 
-def shape_recovery_experiment(
-    scenario: Scenario, sys: LinearizedSystem, nonlinear: bool = False
-) -> tuple[dict, Trajectory, Trajectory | None]:
+def shape_recovery_experiment(scenario: Scenario, sys: LinearizedSystem) -> tuple[dict, Trajectory, Trajectory]:
     """Run one impulse experiment on ``sys``, the scenario's linearized
     system, and decide recovery vs distortion.
 
-    Returns the outcome, the linearized trajectory and, with ``nonlinear``,
-    the nonlinear one, which keeps its states (else None). The outcome is the dict written under
+    Returns the outcome, the linearized trajectory, stepped once with its
+    tail kept, and the nonlinear flow from the reference plus the same
+    jump, not yet stepped: a pass over its blocks steps it, and
+    ``tail_edge_errors()`` gives its final edge errors, which
+    ``dichotomy --nonlinear`` writes as ``nonlinear_final_edge_errors``.
+    The outcome is the dict written under
     ``"outcome"`` in ``outcome.json``: the input (``w0``, ``magnitude``,
     ``w0_is_unit``), its ``alignment`` with the rotation block at the
     actuator, the rigid-body ``coefficients`` it excites, the steady-state
     ``rotation_angle`` (c_r over the norm of the rotation field), the
     ``steady_state``, the predicted and simulated final squared edge
     lengths, the exact and linearized final edge errors, the ``verdict``,
-    the ``classification`` and ``flex_excitation``; with ``nonlinear``,
-    ``nonlinear_final_edge_errors`` last.
+    the ``classification`` and ``flex_excitation``.
 
     The verdict is "recovery" when the input direction is orthogonal to the
     rotational mode's local velocity at the actuated node (within the
@@ -562,11 +534,7 @@ def shape_recovery_experiment(
         "classification": classification,
         "flex_excitation": flex_excitation,
     }
-    if not nonlinear:
-        return outcome, traj, None
-    nl_traj = _impulse_flow(scenario, sys)
-    outcome["nonlinear_final_edge_errors"] = nl_traj.values(nl_traj.states[_tail(nl_traj.count)])[1].mean(axis=0)
-    return outcome, traj, nl_traj
+    return outcome, traj, _flow(fw, fw.positions + dp0, scenario.sim)
 
 
 def sweep_impulse_angles(scenario: Scenario, sys: LinearizedSystem, n_angles: int) -> np.ndarray:
@@ -590,7 +558,7 @@ def sweep_impulse_angles(scenario: Scenario, sys: LinearizedSystem, n_angles: in
     c_r = alignments * scenario.impulse
 
     growth = _growth(sys, scenario.sim)
-    count = _steps(scenario.sim) + 1
+    count = scenario.sim.samples
     tail = _tail(count)
     powers = _modal_powers(growth, tail.start, tail.stop)
     # A row of g**k that is not finite leaves every state at that step

@@ -156,6 +156,11 @@ class SimSettings:
         if self.method not in ("rk4", "euler"):
             raise ValidationError(f"sim.method: expected 'rk4' or 'euler', got {self.method!r}")
 
+    @property
+    def samples(self) -> int:
+        """Rows of a run: step 0, then ``round(t_end / dt)`` steps, one at least."""
+        return max(1, round(self.t_end / self.dt)) + 1
+
 
 @dataclass(frozen=True)
 class ToleranceOverrides:

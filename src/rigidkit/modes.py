@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .framework import Framework, ToleranceOverrides, ValidationError
+from .framework import Framework, ToleranceOverrides, ValidationError, block
 from .rigidity import (
     FLEXIBLE,
     RbmBasis,
@@ -55,6 +55,7 @@ __all__ = [
     "global_rotation_subspace",
     "local_rotation_subspace",
     "elementary_rotations",
+    "controllable_plane",
     "classify_modes",
     "hidden_mode_checks",
 ]
@@ -239,6 +240,38 @@ def _orthogonal_complement_of_vector(x: np.ndarray) -> np.ndarray:
     return u[:, 1:]
 
 
+def controllable_plane(rbm: RbmBasis, node: int) -> dict:
+    """Plane of rigid-body coordinates reachable from a single actuator, as
+    the dict that ``plane.json`` holds.
+
+    ``node`` is 1-based and ``rotation_at_node`` is (r_x, r_y), the
+    rotational mode's local velocity at the node. ``n_c`` is the coordinate
+    vector of the rigid-body motion that the actuator cannot excite,
+    (-r_x, -r_y, 1): every reachable coordinate vector ``(w_x, w_y, r . w)``
+    (an input direction paired with its rotational alignment) is orthogonal
+    to it. ``plane_basis`` holds two orthonormal rows that span that plane,
+    and ``recovery_line`` is the unit vector spanning its intersection with
+    the pure-translation coordinates c_r = 0.
+    """
+    d = rbm.translations.shape[1]
+    if d != 2:
+        raise ValidationError(f"controllable_plane is defined for d=2, got d={d}")
+    r_i = np.array(block(rbm.v_r, node, 2))
+    normal = np.array([-r_i[0], -r_i[1], 1.0])
+    nrm = float(np.hypot(r_i[0], r_i[1]))
+    if nrm > 0.0:
+        recovery_line = np.array([-r_i[1], r_i[0], 0.0]) / nrm
+    else:
+        recovery_line = np.array([1.0, 0.0, 0.0])
+    return {
+        "node": node + 1,
+        "rotation_at_node": r_i,
+        "n_c": normal,
+        "plane_basis": _orthogonal_complement_of_vector(normal).T,
+        "recovery_line": recovery_line,
+    }
+
+
 def local_rotation_subspace(fw: Framework, node: int, tol: float = DEFAULT_TOL) -> Subspace:
     """Motions that fix ``node`` and preserve its incident edge lengths to
     first order.
@@ -388,13 +421,18 @@ def _specializations(
         overlap = 0.0
         if r_g.dim and t_def.dim:
             overlap = float(np.linalg.svd(r_g.basis.T @ t_def.basis, compute_uv=False).max())
+        orthogonal = overlap <= tol
         rigid.update(
             {
                 "global_rotation_dim": r_g.dim,
                 "local_deformation_dim": t_def.dim,
                 "uncontrollable_dim": u.dim,
-                "components_orthogonal": overlap <= tol,
-                "decomposition_holds": direct_sum_check(r_g, t_def, u),
+                "components_orthogonal": orthogonal,
+                # direct_sum_check(r_g, t_def, u) without a second SVD of the overlap
+                "decomposition_holds": orthogonal
+                and r_g.dim + t_def.dim == u.dim
+                and contains(u, r_g)
+                and contains(u, t_def),
             }
         )
 

@@ -1,5 +1,6 @@
 """Command-line runner: artifacts, exit codes, determinism, --check."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -976,6 +977,45 @@ def test_dichotomy_memory_grows_by_its_tail_rows_only(tmp_path):
     assert large - small <= 8 * 8 * (tail_rows(8000) - tail_rows(800)) + 256 * 2**10, (small, large)
 
 
+def test_dichotomy_nonlinear_makes_the_linearized_blocks_twice_and_steps_the_flow_once(tmp_path):
+    """One ``dichotomy --nonlinear`` call makes the linearized blocks twice,
+    for the scan that keeps their tail rows and for the CSV, and steps the
+    flow once, as it is written; the final means read the kept tails."""
+    calls = {"_lti_blocks": 0, "_integrate": 0}
+
+    def counted(name):
+        original = getattr(rk.dynamics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return mock.patch.object(rk.dynamics, name, wrapper)
+
+    square = DEMO_SCENARIOS / "square_diagonal.json"
+    with counted("_lti_blocks"), counted("_integrate"):
+        assert run(["dichotomy", square, "--nonlinear", "--out", tmp_path]) == EXIT_OK
+    assert calls == {"_lti_blocks": 2, "_integrate": 1}
+
+
+def test_library_flow_tail_is_bounded_and_matches_the_cli(tmp_path):
+    """On the default-horizon square (50 001 steps), the flow that
+    ``shape_recovery_experiment`` returns gives its final edge errors while
+    holding its tail rows only: ``tail_edge_errors()`` peaks under 1.25 MiB,
+    where the whole 50 001 x 8 table takes 3.2 MB. Its bits are those that
+    ``dichotomy --nonlinear`` writes."""
+    square = DEMO_SCENARIOS / "square_diagonal.json"
+    scenario = replace(rk.load_scenario(square), sim=rk.SimSettings())
+    _, _, flow = rk.shape_recovery_experiment(scenario, system_of(scenario))
+    finals = []
+    peak = traced_peak(lambda: finals.append(flow.tail_edge_errors()))
+    assert peak < 1.25 * 2**20, peak
+    argv = ["dichotomy", square, "--nonlinear", "--dt", 1e-3, "--t-end", 50, "--out", tmp_path]
+    assert run(argv) == EXIT_OK
+    written = load_json(tmp_path / "outcome.json")["outcome"]["nonlinear_final_edge_errors"]
+    assert np.array(written).tobytes() == finals[0].tobytes()
+
+
 def test_dichotomy_nonlinear_overflow_leaves_an_earlier_run_as_it_was(tmp_path, capsys):
     """The nonlinear flow is written first and as it is stepped: a flow that
     overflows after some blocks went to disk exits 3 with the step's line
@@ -1048,7 +1088,7 @@ def test_trajectory_csv_in_row_blocks_matches_whole_table(tmp_path, chunk):
     scenario = rk.load_scenario(DEMO_SCENARIOS / "square_diagonal.json")
     scenario = replace(scenario, sim=replace(scenario.sim, dt=0.01, t_end=8.0))
     fw = scenario.framework
-    _, *trajectories = rk.shape_recovery_experiment(scenario, system_of(scenario), nonlinear=True)
+    _, *trajectories = rk.shape_recovery_experiment(scenario, system_of(scenario))
     header = ["t"] + cli._coord_headers(fw.n, fw.d) + [f"e_{k + 1}" for k in range(fw.m)] + ["V"]
     for traj in trajectories:
         with mock.patch.object(cli, "CSV_CHUNK_CELLS", chunk):
@@ -1095,6 +1135,31 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, triangle_file):
     loaded = rigidkit_modules_loaded("modes", triangle_file, "--out", out)
     assert "rigidkit.modes" in loaded
     assert "rigidkit.dynamics" not in loaded
+    assert run(["dichotomy", triangle_file, "--out", out]) == EXIT_OK
+    loaded = rigidkit_modules_loaded("plotdata", out)
+    assert "rigidkit.modes" in loaded
+    assert "rigidkit.dynamics" not in loaded
+
+
+def test_cli_imports_no_private_name_of_dynamics_or_modes():
+    """``cli`` reaches ``dynamics`` and ``modes`` through their public names
+    only, whether imported by name or read off the module."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    modules = {"dynamics", "modes", "rigidkit.dynamics", "rigidkit.modes"}
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in modules
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    private += [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in {"dynamics", "modes"} and node.attr.startswith("_")
+    ]
+    assert private == []
 
 
 # the names ``rigidkit/__init__.py`` imported eagerly from its modules

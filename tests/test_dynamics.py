@@ -156,7 +156,7 @@ def test_lti_blocks_match_whole_table_matmul_bit_for_bit(tmp_path, source):
     vec = sys.spectrum[1]
     for steps in (1, 2, height - 1, height, height + 1, 8001):
         settings = replace(sc.sim, t_end=steps * sc.sim.dt)
-        assert dynamics._steps(settings) == steps
+        assert settings.samples == steps + 1
         modal = dynamics._modal_powers(dynamics._growth(sys, settings), 0, steps + 1)
         modal *= vec.T @ dp0
         traj = rk.simulate_lti(sys, dp0, settings)
@@ -180,7 +180,7 @@ def test_sweep_tail_and_first_non_finite_step_match_whole_table(log_dt, steps, m
     dt = 10.0**log_dt
     sc = recovery_scenario(sim=rk.SimSettings(dt=dt, t_end=steps * dt, method=method))
     sys = system_of(sc)
-    steps = dynamics._steps(sc.sim)
+    steps = sc.sim.samples - 1
     growth = dynamics._growth(sys, sc.sim)
     with np.errstate(over="ignore", invalid="ignore"):
         whole = growth ** np.arange(steps + 1)[:, None]
@@ -636,10 +636,10 @@ def test_edgeless_framework_runs_every_simulation():
     assert np.array_equal(lti.states, np.tile(bump, (101, 1)))
 
     with pytest.warns(UserWarning, match="flexible"):
-        out, _, _ = rk.shape_recovery_experiment(sc, sys, nonlinear=True)
+        out, _, flow = rk.shape_recovery_experiment(sc, sys)
     assert out["verdict"] == "withheld"
     assert out["predicted_edge_sq_lengths"].shape == (0,)
-    assert out["nonlinear_final_edge_errors"].shape == (0,)
+    assert flow.tail_edge_errors().shape == (0,)
     assert np.array_equal(out["steady_state"], sys.B @ sc.w0)
 
     table = rk.sweep_impulse_angles(sc, sys, 4)
@@ -786,11 +786,13 @@ def test_flexible_framework_withholds_verdict():
 
 def test_nonlinear_comparison_run():
     sc = recovery_scenario()
-    out, _, nonlinear = rk.shape_recovery_experiment(sc, system_of(sc), nonlinear=True)
-    assert nonlinear is not None
-    assert out["nonlinear_final_edge_errors"] is not None
+    out, _, nonlinear = rk.shape_recovery_experiment(sc, system_of(sc))
+    assert nonlinear.kind == "nonlinear"
+    assert "nonlinear_final_edge_errors" not in out
+    final = nonlinear.tail_edge_errors()
+    assert final.shape == (sc.framework.m,)
     # the nonlinear flow also recovers shape for an orthogonal input
-    assert np.abs(out["nonlinear_final_edge_errors"]).max() < 1e-6
+    assert np.abs(final).max() < 1e-6
 
 
 def test_requires_planar_framework():

@@ -661,3 +661,42 @@ def test_uncontrollable_parts_match_ambient_on_examples(tmp_path, name):
     data = lattice_scenario_dict() if name == "lattice" else far_agent_square()
     path = write_scenario(tmp_path / f"{name}.json", data)
     assert_parts_match_ambient(system_of(rk.load_scenario(path)))
+
+
+# --------------------------------------- the paper's rotation theorems, ambient
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=frameworks_with_node())
+def test_rotation_subspace_lies_in_local_rotation_subspace(case):
+    """R_i ⊂ T_i on every draw, flexible ones included."""
+    fw, node = case
+    assert rk.contains(rk.local_rotation_subspace(fw, node), rk.global_rotation_subspace(fw, node))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=frameworks_with_node(kinds=("minimal", "redundant")))
+def test_rotation_theorems_on_rigid_draws(case):
+    """On a rigid framework, against the ambient oracles: U ∩ ker R = R_i,
+    of dimension at least d(d-1)/2; T_i ∩ ker R = R_i; and U lies in
+    R_i ⊕ (T_i ∩ D), D the deformation space, the complement of ker R."""
+    fw, node = case
+    event(f"d={fw.d}")
+    sys = rk.linearize(fw, node, 0)
+    tol = sys.rigidity.subspace_tol
+    assert rk.classify_rigidity(sys.rigidity) != rk.FLEXIBLE
+    ker_r = nullspace(sys.rigidity.entries, tol=tol)
+    deform = nullspace(ker_r.basis.T, tol=tol)
+    r_i = rk.global_rotation_subspace(fw, node, tol)
+    t_i = rk.local_rotation_subspace(fw, node, tol)
+    u = sys.uncontrollable
+
+    def same(a: rk.Subspace, b: rk.Subspace) -> bool:
+        return a.dim == b.dim and rk.contains(a, b) and rk.contains(b, a)
+
+    u_rigid = intersect(u, ker_r)
+    assert same(u_rigid, r_i)
+    assert u_rigid.dim >= fw.d * (fw.d - 1) // 2
+    assert same(intersect(t_i, ker_r), r_i)
+    t_def = intersect(t_i, deform)
+    assert rk.contains(rk.orthonormalize(np.hstack([r_i.basis, t_def.basis]), tol=tol), u)
