@@ -17,10 +17,18 @@ the command and compares against the recorded outputs within tolerances.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread per CLI process, set before numpy loads, unless the caller
+# chose a count. The largest matrix a run factors is a few hundred rows wide:
+# on a 2-core machine OpenBLAS's thread pool costs about 70 ms of start-up per
+# call and earns nothing back, and the SVD's bits (so the artifacts) depend on
+# the thread count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import filecmp
 import itertools
-import os
 import sys
 import tempfile
 import warnings
