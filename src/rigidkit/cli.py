@@ -21,9 +21,9 @@ import os
 
 # One BLAS thread per CLI process, set before numpy loads, unless the caller
 # chose a count. The largest matrix a run factors is a few hundred rows wide:
-# on a 2-core machine OpenBLAS's thread pool costs about 70 ms of start-up per
-# call and earns nothing back, and the SVD's bits (so the artifacts) depend on
-# the thread count.
+# on a 2-core machine OpenBLAS's thread pool made `import numpy` take 203 ms
+# instead of 127 ms and earned nothing back, and the SVD's last bits, so the
+# artifacts, depend on the thread count.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import filecmp
 import importlib
 import io
 import json
@@ -41,15 +42,23 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def python_env():
-    """The environment of a fresh interpreter that imports the rigidkit under test."""
+def python_env(**overrides):
+    """The environment of a fresh interpreter that imports the rigidkit under
+    test; each keyword sets a variable, or removes it when ``None``."""
     paths = [str(Path(rk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    for name, value in overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
 
 
-def run_python(*args):
-    """A fresh interpreter that imports the rigidkit under test."""
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=python_env())
+def run_python(*args, **env):
+    """A fresh interpreter that imports the rigidkit under test, with the
+    environment changes of :func:`python_env`."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=python_env(**env))
 
 
 @pytest.fixture()
@@ -1160,6 +1169,117 @@ def test_cli_imports_no_private_name_of_dynamics_or_modes():
         and node.value.id in {"dynamics", "modes"} and node.attr.startswith("_")
     ]
     assert private == []
+
+
+def environment_writes(tree: ast.Module) -> list[ast.AST]:
+    """The nodes of ``tree`` that assign to ``os.environ``: an assignment or
+    ``del`` of ``os.environ`` or an item of it, a call of one of its
+    mutating methods, or of ``os.putenv``/``os.unsetenv``."""
+    def is_environ(node):
+        return ast.unparse(node) in ("os.environ", "environ")
+
+    writes = []
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        if any(is_environ(t.value if isinstance(t, ast.Subscript) else t) for t in targets):
+            writes.append(node)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+            is_environ(node.func.value)
+            and node.func.attr in {"setdefault", "update", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+            or ast.unparse(node.func) in ("os.putenv", "os.unsetenv")
+        ):
+            writes.append(node)
+    return writes
+
+
+def test_blas_thread_pin_precedes_numpy_and_is_the_only_environment_write():
+    """``cli`` sets ``OPENBLAS_NUM_THREADS`` in a module-level statement that
+    runs before ``numpy`` or any rigidkit module is imported (OpenBLAS reads
+    the variable once, as numpy loads), and no other module of the package
+    writes to the process environment."""
+    source = Path(cli.__file__)
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    (pin,) = environment_writes(tree)
+    assert ast.unparse(pin) == "os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')"
+    (statement,) = [s for s in tree.body if pin in ast.walk(s)]
+    assert isinstance(statement, ast.Expr) and statement.value is pin
+
+    def loads_numpy_or_package(node):
+        if isinstance(node, ast.Import):
+            return any(a.name.split(".")[0] == "numpy" for a in node.names)
+        return isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module.split(".")[0] in ("numpy", "rigidkit"))
+
+    first = next(i for i, s in enumerate(tree.body) if any(map(loads_numpy_or_package, ast.walk(s))))
+    assert tree.body.index(statement) < first
+    others = {
+        path.name: [ast.unparse(node) for node in environment_writes(ast.parse(path.read_text(encoding="utf-8")))]
+        for path in sorted(source.parent.glob("*.py"))
+        if path != source
+    }
+    assert others == {name: [] for name in others}
+
+
+def test_environment_writes_finds_each_form():
+    """The lint above sees every way a module can change the environment."""
+    forms = [
+        "os.environ['X'] = '1'", "os.environ.setdefault('X', '1')", "os.environ.update(X='1')",
+        "del os.environ['X']", "os.environ.pop('X')", "os.putenv('X', '1')", "environ['X'] = '1'",
+        "os.environ = {}",
+    ]
+    for form in forms:
+        assert len(environment_writes(ast.parse(form))) == 1, form
+    assert environment_writes(ast.parse("x = os.environ.get('X')\ny = os.environ['X']")) == []
+
+
+def blas_threads_after(code: str, **env) -> list[str]:
+    """What a fresh interpreter prints after running ``code`` and then
+    printing its ``OPENBLAS_NUM_THREADS``."""
+    proc = run_python("-c", f"{code}\nimport os\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))", **env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_cli_runs_blas_on_one_thread():
+    assert blas_threads_after("import rigidkit.cli", OPENBLAS_NUM_THREADS=None) == ["1"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_process_starts_no_blas_thread():
+    code = "import os, rigidkit.cli\nprint(len(os.listdir('/proc/self/task')))"
+    proc = run_python("-c", code, OPENBLAS_NUM_THREADS=None)
+    assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
+
+
+def test_callers_blas_thread_count_is_kept():
+    assert blas_threads_after("import rigidkit.cli", OPENBLAS_NUM_THREADS="2") == ["2"]
+
+
+def test_library_import_leaves_blas_threads_unset():
+    code = "import rigidkit, rigidkit.modes, rigidkit.dynamics"
+    assert blas_threads_after(code, OPENBLAS_NUM_THREADS=None) == ["None"]
+
+
+def test_analyze_record_does_not_depend_on_the_callers_blas_threads(tmp_path):
+    """A record of the 120-agent lattice made with the caller's default BLAS
+    threads passes ``--check`` on one thread, and a record made on one
+    thread has the same bytes, file by file."""
+    path = write_scenario(tmp_path / "lattice.json", lattice_scenario_dict())
+    runs = {"default": None, "single": "1"}
+    for name, threads in runs.items():
+        proc = run_python("-m", "rigidkit.cli", "analyze", str(path), "--out", str(tmp_path / name),
+                          OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == EXIT_OK, proc.stderr
+    proc = run_python("-m", "rigidkit.cli", "analyze", str(path), "--out", str(tmp_path / "default"), "--check",
+                      OPENBLAS_NUM_THREADS="1")
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    names = sorted(p.name for p in (tmp_path / "default").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "single").iterdir())
+    for name in names:
+        assert filecmp.cmp(tmp_path / "default" / name, tmp_path / "single" / name, shallow=False), name
 
 
 # the names ``rigidkit/__init__.py`` imported eagerly from its modules

@@ -678,8 +678,9 @@ def test_rotation_subspace_lies_in_local_rotation_subspace(case):
 @given(case=frameworks_with_node(kinds=("minimal", "redundant")))
 def test_rotation_theorems_on_rigid_draws(case):
     """On a rigid framework, against the ambient oracles: U ∩ ker R = R_i,
-    of dimension at least d(d-1)/2; T_i ∩ ker R = R_i; and U lies in
-    R_i ⊕ (T_i ∩ D), D the deformation space, the complement of ker R."""
+    of dimension at least d(d-1)/2; T_i ∩ ker R = R_i; U lies in T_i; and
+    U lies in R_i ⊕ (T_i ∩ D), D the deformation space, the complement of
+    ker R."""
     fw, node = case
     event(f"d={fw.d}")
     sys = rk.linearize(fw, node, 0)
@@ -698,5 +699,6 @@ def test_rotation_theorems_on_rigid_draws(case):
     assert same(u_rigid, r_i)
     assert u_rigid.dim >= fw.d * (fw.d - 1) // 2
     assert same(intersect(t_i, ker_r), r_i)
+    assert rk.contains(t_i, u)
     t_def = intersect(t_i, deform)
     assert rk.contains(rk.orthonormalize(np.hstack([r_i.basis, t_def.basis]), tol=tol), u)
