@@ -36,9 +36,11 @@ for _ in range(5):
     c = np.array([*w0, plane["rotation_at_node"] @ w0])
     print(f"  w0={w0}  coords={c}  <c, n_c>={c @ plane['n_c']:+.2e}")
 
-# the normal's coordinates rebuild the motion the input can never excite:
-# a rotation about the actuated node (zero block there)
-motion = rk.rbm_motion_from_coords(rbm, plane["n_c"])
+# the normal's coordinates rebuild the motion the input can never excite,
+# every agent translated by (c_x, c_y) plus c_r times the orthonormal
+# rotation mode: a rotation about the actuated node (zero block there)
+n_c = plane["n_c"]
+motion = np.tile(n_c[:2], fw.n) + n_c[2] * rbm.v_r
 print("\nunreachable rigid-body motion (blocks):")
 print(motion.reshape(fw.n, 2))
 

@@ -17,7 +17,7 @@ import importlib
 _EXPORTS = {
     name: module
     for module, names in {
-        "dynamics": """rbm_coefficients rbm_motion_from_coords shape_recovery_experiment
+        "dynamics": """rbm_coefficients shape_recovery_experiment
             simulate_lti simulate_nonlinear steady_state sweep_impulse_angles""",
         "framework": """Framework Scenario ScenarioParseError SimSettings ToleranceOverrides
             ValidationError block load_scenario save_scenario scenario_to_dict""",

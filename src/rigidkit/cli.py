@@ -23,7 +23,10 @@ import os
 # chose a count. The largest matrix a run factors is a few hundred rows wide:
 # on a 2-core machine OpenBLAS's thread pool made `import numpy` take 203 ms
 # instead of 127 ms and earned nothing back, and the SVD's last bits, so the
-# artifacts, depend on the thread count.
+# artifacts, depend on the thread count. Once numpy is loaded the variable
+# no longer acts: a program that calls main() in-process runs on its own
+# pool, and must set OPENBLAS_NUM_THREADS=1 before its first `import numpy`
+# to write records that a spawned --check accepts.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
@@ -66,13 +69,13 @@ CHECK_RTOL = 1e-9
 CHECK_ATOL = 1e-12
 # fields formatted per write of a CSV file, and parsed per read of one
 CSV_CHUNK_CELLS = 1 << 12
-# largest float64 table, in bytes, that a run may build: max(m, nd)^2 for R
-# and the factors of its SVD, U (m x m, built by the call and dropped at once)
-# and V^T (nd x nd); for dichotomy also a trajectory's (steps + 1) x nd
-# states (written in row blocks, but built whole by a library caller that
-# reads Trajectory.states), and the sweep's N x max(nd, m) final states and
-# edge errors. A run holds a few tables of that size at once, so larger sizes
-# are refused before anything is allocated or written.
+# largest float64 table, in bytes, that a run may build or write: max(m, nd)^2
+# for R and the factors of its SVD, U (m x m, built by the call and dropped at
+# once) and V^T (nd x nd); for dichotomy also the sweep's N x max(nd, m) final
+# states and edge errors, and the (steps + 1) x nd states of a trajectory,
+# which it writes a block at a time (no path builds that table whole). A run
+# holds a few tables of that size at once, so larger sizes are refused
+# before anything is allocated or written.
 ARRAY_BUDGET_BYTES = 1 << 30
 
 __all__ = ["main", "EXIT_OK", "EXIT_INPUT", "EXIT_NUMERICAL"]
@@ -396,7 +399,7 @@ def cmd_dichotomy(args) -> int:
         raise ValidationError(f"--sweep: the number of angles must be 0 or positive, got {args.sweep}")
     scenario = _load_scenario(args)
     fw = scenario.framework
-    _check_budget("trajectory", scenario.sim.samples, fw.n * fw.d)  # the states, as Trajectory.states builds them
+    _check_budget("trajectory", scenario.sim.samples, fw.n * fw.d)  # the state rows written, a block at a time
     _check_budget("sweep", args.sweep, max(fw.n * fw.d, fw.m))  # final states, then all their edge errors
 
     def runner(out_dir: Path) -> list[str]:

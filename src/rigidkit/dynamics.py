@@ -34,8 +34,9 @@ ends, which the final means read. The linearized
 model's blocks are rows of ``V diag(g**k) V^T x0``, all of one height, the
 last one ending at the final step and overlapping the one before it. With
 numpy's OpenBLAS such a matmul gives the whole table's rows bit for bit at
-every width up to 128 and at the multiples of 8 up to 296 (as measured);
-a shorter block may round differently, and so may other widths. The angle
+every width up to 192 on one thread, as the CLI runs, and up to 128 on two,
+and at the multiples of 8 above those (as measured, widths 2-299); a
+shorter block may round differently, and so may other widths. The angle
 sweep builds only the tail rows it averages, and scans every row in
 blocks only when the last one is not finite.
 
@@ -56,7 +57,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -83,7 +83,6 @@ __all__ = [
     "simulate_lti",
     "steady_state",
     "rbm_coefficients",
-    "rbm_motion_from_coords",
     "shape_recovery_experiment",
     "sweep_impulse_angles",
 ]
@@ -97,11 +96,10 @@ class Trajectory:
     ``make_blocks()`` makes the states a block of rows at a time, afresh on
     every call: absolute configurations for the nonlinear flow and
     deviations from the reference for the linearized model. :meth:`blocks`
-    is one pass over them. The first pass that runs to the end keeps the
+    is one pass over them, and the one way to read every row. The first pass that runs to the end keeps the
     state rows of the trailing ``TAIL_FRACTION``, which :meth:`tail_state`
     and :meth:`tail_edge_errors` read; a later pass makes the same bits and
-    keeps nothing. ``states`` builds the whole table when it is first read,
-    and keeps it. :meth:`values` computes, for a block of state rows, the
+    keeps nothing. :meth:`values` computes, for a block of state rows, the
     absolute configurations, their exact squared-length errors against
     ``r_star`` and the potential, half the errors' squared norm per row.
     """
@@ -126,16 +124,6 @@ class Trajectory:
         if not self._tail_rows:
             self._tail_rows.append(np.concatenate(tail))
 
-    @cached_property
-    def states(self) -> np.ndarray:
-        """(count, n*d) table of every state."""
-        return np.concatenate(list(self.blocks()))
-
-    @property
-    def times(self) -> np.ndarray:
-        """(count,) sample times."""
-        return np.arange(self.count) * self.dt
-
     def values(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Absolute configurations, exact edge errors and potential of a block
         of state rows, each row's values bit for bit those of every other
@@ -143,16 +131,6 @@ class Trajectory:
         configurations = states + self.framework.positions if self.kind == "lti" else states
         errors = _edge_errors_of_states(self.framework, configurations, self.r_star)
         return configurations, errors, _potential(errors)
-
-    @property
-    def edge_errors(self) -> np.ndarray:
-        """(count, m) exact edge errors of every row, column-major."""
-        return self.values(self.states)[1]
-
-    @property
-    def potential(self) -> np.ndarray:
-        """(count,) potential of every row."""
-        return self.values(self.states)[2]
 
     def _tail_states(self) -> np.ndarray:
         """The kept tail rows, after one pass if no pass has ended."""
@@ -309,22 +287,16 @@ def _gradient_rhs(fw: Framework, r_star: np.ndarray):
     return rhs
 
 
-def _flow(fw: Framework, p0, settings: SimSettings) -> Trajectory:
+def simulate_nonlinear(fw: Framework, p0, settings: SimSettings = SimSettings()) -> Trajectory:
     """The nonlinear gradient flow from an absolute configuration, stepped
-    afresh on every pass over its blocks until ``states`` is read."""
+    afresh on every pass over its blocks; a pass raises ``NumericalError``
+    at the first block with a state that is not finite."""
     start = np.asarray(p0, dtype=float).ravel()
     if start.size != fw.n * fw.d:
         raise ValidationError(f"state length: expected {fw.n * fw.d}, got {start.size}")
     r_star = rigidity_function(fw, fw.positions)
     rhs = _gradient_rhs(fw, r_star)
     return Trajectory("nonlinear", fw, r_star, settings.dt, settings.samples, lambda: _integrate(rhs, start, settings))
-
-
-def simulate_nonlinear(fw: Framework, p0, settings: SimSettings = SimSettings()) -> Trajectory:
-    """Integrate the nonlinear gradient flow from an absolute configuration."""
-    traj = _flow(fw, p0, settings)
-    traj.states  # stepped and kept now, so a state that is not finite raises here
-    return traj
 
 
 def _growth(sys: LinearizedSystem, settings: SimSettings) -> np.ndarray:
@@ -376,21 +348,18 @@ def simulate_lti(sys: LinearizedSystem, dp0, settings: SimSettings = SimSettings
     An impulse of direction ``w0`` and magnitude ``s`` corresponds to the
     initial deviation ``B @ w0 * s``. Edge errors along the trajectory are
     the exact ones of the absolute configurations ``reference + deviation``.
-    This call makes one pass over the blocks, so that a row that is not
-    finite raises here; the pass keeps the tail rows that
-    :meth:`Trajectory.tail_state` reads, and no other row.
+    Nothing is computed here: a pass over the blocks makes the rows, and
+    raises ``NumericalError`` at the first block with a row that is not
+    finite.
     """
     start = np.asarray(dp0, dtype=float).ravel()
     if start.size != sys.dim:
         raise ValidationError(f"state length: expected {sys.dim}, got {start.size}")
     fw = sys.framework
-    traj = Trajectory(
+    return Trajectory(
         "lti", fw, rigidity_function(fw, fw.positions), settings.dt, settings.samples,
         lambda: _lti_blocks(sys, start, settings),
     )
-    for _ in traj.blocks():
-        pass
-    return traj
 
 
 def steady_state(sys: LinearizedSystem, w0, magnitude: float = 1.0) -> np.ndarray:
@@ -421,26 +390,6 @@ def rbm_coefficients(rbm: RbmBasis, node: int, w0) -> tuple[float, float, float]
     return (c_x, c_y, c_r)
 
 
-def rbm_motion_from_coords(rbm: RbmBasis, coords) -> np.ndarray:
-    """Stacked motion for rigid-body coordinates (c_x, c_y, c_r).
-
-    Coordinates are taken in the node-normalized convention: unit-block
-    translations (every agent moves by (c_x, c_y)) plus the orthonormal
-    rotation mode scaled by c_r.
-    """
-    d = rbm.translations.shape[1]
-    if d != 2:
-        raise ValidationError(f"rbm_motion_from_coords is defined for d=2, got d={d}")
-    c = np.asarray(coords, dtype=float).ravel()
-    if c.size != 3:
-        raise ValidationError(f"coords: expected 3 entries, got {c.size}")
-    nd = rbm.translations.shape[0]
-    motion = np.zeros(nd)
-    motion[0::2] = c[0]
-    motion[1::2] = c[1]
-    return motion + c[2] * rbm.v_r
-
-
 def _check_planar_system(scenario: Scenario, sys: LinearizedSystem, what: str) -> None:
     if scenario.framework.d != 2:
         raise ValidationError(f"{what} requires d=2, got d={scenario.framework.d}")
@@ -456,8 +405,9 @@ def shape_recovery_experiment(scenario: Scenario, sys: LinearizedSystem) -> tupl
     system, and decide recovery vs distortion.
 
     Returns the outcome, the linearized trajectory, stepped once with its
-    tail kept, and the nonlinear flow from the reference plus the same
-    jump, not yet stepped: a pass over its blocks steps it, and
+    tail kept (a row that is not finite raises there, before the outcome is
+    built), and the nonlinear flow from the reference plus the same jump,
+    not yet stepped: a pass over its blocks steps it, and
     ``tail_edge_errors()`` gives its final edge errors, which
     ``dichotomy --nonlinear`` writes as ``nonlinear_final_edge_errors``.
     The outcome is the dict written under
@@ -534,7 +484,7 @@ def shape_recovery_experiment(scenario: Scenario, sys: LinearizedSystem) -> tupl
         "classification": classification,
         "flex_excitation": flex_excitation,
     }
-    return outcome, traj, _flow(fw, fw.positions + dp0, scenario.sim)
+    return outcome, traj, simulate_nonlinear(fw, fw.positions + dp0, scenario.sim)
 
 
 def sweep_impulse_angles(scenario: Scenario, sys: LinearizedSystem, n_angles: int) -> np.ndarray:

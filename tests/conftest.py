@@ -1,5 +1,7 @@
-"""Shared frameworks, random framework generators, scenario helpers, and the
-ambient subspace oracles."""
+"""Shared frameworks, random framework generators, scenario helpers, the
+ambient subspace oracles, and whole trajectory tables."""
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -273,3 +275,23 @@ def write_scenario(path, data: dict) -> str:
 
     dump_json(data, path)
     return str(path)
+
+
+# --------------------------------------------------------------- trajectories
+
+
+class WholeTable(NamedTuple):
+    times: np.ndarray  # (count,)
+    states: np.ndarray  # (count, n*d), as the blocks give them
+    edge_errors: np.ndarray  # (count, m), column-major
+    potential: np.ndarray  # (count,)
+
+
+def whole_table(traj) -> WholeTable:
+    """Every row of one pass over ``traj.blocks()`` as one table, with the
+    sample times and the exact edge errors and potential of the whole stack.
+    The library reads trajectories only in blocks; the tests read them
+    whole."""
+    states = np.concatenate(list(traj.blocks()))
+    _, errors, potential = traj.values(states)
+    return WholeTable(np.arange(traj.count) * traj.dt, states, errors, potential)

@@ -18,6 +18,7 @@ from conftest import (
     square_with_diagonal,
     system_of,
     triangle,
+    whole_table,
 )
 from test_rigidity import fd_jacobian
 
@@ -177,7 +178,8 @@ def test_criterion_10_controllable_plane():
     for _ in range(100):
         w0 = rng.normal(size=2)
         assert abs(np.array([*w0, plane["rotation_at_node"] @ w0]) @ plane["n_c"]) <= 1e-12
-    motion = rk.rbm_motion_from_coords(rbm, plane["n_c"])
+    n_c = plane["n_c"]
+    motion = np.tile(n_c[:2], fw.n) + n_c[2] * rbm.v_r
     assert np.linalg.norm(rk.block(motion, 0, 2)) <= 1e-12
     _ok(10, "reachable coordinates stay on the plane; its normal rebuilds a pinned motion")
 
@@ -188,7 +190,7 @@ def test_criterion_11_nonlinear_sanity():
     rng = np.random.default_rng(8)
     bump = rng.normal(size=fw.positions.size)
     bump *= 1e-2 / np.linalg.norm(bump)
-    traj = rk.simulate_nonlinear(fw, fw.positions + bump, rk.SimSettings(dt=1e-3, t_end=10.0))
+    traj = whole_table(rk.simulate_nonlinear(fw, fw.positions + bump, rk.SimSettings(dt=1e-3, t_end=10.0)))
     elapsed = time.perf_counter() - start
     assert np.all(np.diff(traj.potential) <= 1e-12)
     assert np.abs(traj.edge_errors[-1]).max() < 1e-8

@@ -34,6 +34,7 @@ from conftest import (
     lattice_scenario_dict,
     system_of,
     triangle_scenario_dict,
+    whole_table,
     write_scenario,
 )
 
@@ -1081,12 +1082,13 @@ def whole_trajectory_table(scenario, traj) -> np.ndarray:
     wrote in row blocks: all columns stacked at once, the exact edge errors
     one ``rigidity_function`` call per row. Kept as its oracle."""
     fw = scenario.framework
-    positions = traj.states + fw.positions if traj.kind == "lti" else traj.states
+    table = whole_table(traj)
+    positions = table.states + fw.positions if traj.kind == "lti" else table.states
     r_star = rk.rigidity_function(fw, fw.positions)
     # column-major like the trajectory's, so each row of the potential sums in the same order
     errors = np.array([rk.rigidity_function(fw, row) - r_star for row in positions], order="F")
     potential = 0.5 * np.einsum("tk,tk->t", errors, errors)
-    return np.column_stack([traj.times, positions, errors, potential])
+    return np.column_stack([table.times, positions, errors, potential])
 
 
 @pytest.mark.parametrize("chunk", [1, 40, 333, 1 << 14, cli.CSV_CHUNK_CELLS])
@@ -1284,7 +1286,7 @@ def test_analyze_record_does_not_depend_on_the_callers_blas_threads(tmp_path):
 
 # the names ``rigidkit/__init__.py`` imported eagerly from its modules
 PACKAGE_EXPORTS = """
-    controllable_plane rbm_coefficients rbm_motion_from_coords
+    controllable_plane rbm_coefficients
     shape_recovery_experiment simulate_lti simulate_nonlinear steady_state sweep_impulse_angles
     Framework Scenario ScenarioParseError SimSettings ToleranceOverrides ValidationError block
     load_scenario save_scenario scenario_to_dict

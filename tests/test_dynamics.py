@@ -24,6 +24,7 @@ from conftest import (
     square_with_diagonal,
     system_of,
     triangle,
+    whole_table,
     write_scenario,
 )
 
@@ -102,7 +103,8 @@ def whole_table_rows(traj):
     the errors column-major from the whole stack, the potential one
     ``einsum`` over them. Kept as the oracle of ``Trajectory.values``."""
     fw = traj.framework
-    configurations = traj.states + fw.positions if traj.kind == "lti" else traj.states
+    states = whole_table(traj).states
+    configurations = states + fw.positions if traj.kind == "lti" else states
     errors = np.asfortranarray(gathered_edge_errors(fw, configurations, traj.r_star))
     return configurations, errors, 0.5 * np.einsum("tk,tk->t", errors, errors)
 
@@ -131,8 +133,9 @@ def test_trajectory_rows_in_blocks_match_whole_table_bit_for_bit(case, kind, cou
     event("last block of one row" if count % height == 1 else "other last block")
     for got, expected in zip(zip(*blocks), want):
         assert same_bits(np.concatenate(got), expected)
-    assert same_bits(traj.edge_errors, want[1]) and same_layout(traj.edge_errors, want[1])
-    assert same_bits(traj.potential, want[2])
+    table = whole_table(traj)
+    assert same_bits(table.edge_errors, want[1]) and same_layout(table.edge_errors, want[1])
+    assert same_bits(table.potential, want[2])
     k = max(1, int(round(dynamics.TAIL_FRACTION * count)))
     tail = traj.values(states[dynamics._tail(count)])[1].mean(axis=0)
     assert same_bits(tail, want[1][-k:].mean(axis=0))
@@ -162,7 +165,7 @@ def test_lti_blocks_match_whole_table_matmul_bit_for_bit(tmp_path, source):
         traj = rk.simulate_lti(sys, dp0, settings)
         sizes = [len(block) for block in traj.blocks()]
         assert sizes[:-1] == [height] * (len(sizes) - 1) and sum(sizes) == steps + 1, (steps, sizes)
-        assert same_bits(traj.states, modal @ vec.T), (sys.dim, steps)
+        assert same_bits(whole_table(traj).states, modal @ vec.T), (sys.dim, steps)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -333,11 +336,12 @@ def test_simulate_nonlinear_matches_stepped_oracle(flow):
     bad = np.flatnonzero(~np.isfinite(expected).all(axis=1))
     if bad.size:
         event("overflow")
+        traj = rk.simulate_nonlinear(fw, p0, settings)
         with pytest.raises(rk.NumericalError, match=rf"^non-finite state at step {bad[0]} "):
-            rk.simulate_nonlinear(fw, p0, settings)
+            whole_table(traj)
         return
     event("stationary tail" if expected[-1].tobytes() == expected[-2].tobytes() else "moving")
-    assert same_bits(rk.simulate_nonlinear(fw, p0, settings).states, expected)
+    assert same_bits(whole_table(rk.simulate_nonlinear(fw, p0, settings)).states, expected)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -362,7 +366,8 @@ def test_settling_flow_reaches_its_stationary_tail():
 
 
 def counted_simulation(monkeypatch, fw, p0, settings):
-    """``simulate_nonlinear`` with its right-hand-side calls counted."""
+    """The whole table of ``simulate_nonlinear``, with the right-hand-side
+    calls of its one pass counted."""
     calls = []
     make = rk.dynamics._gradient_rhs
 
@@ -371,7 +376,8 @@ def counted_simulation(monkeypatch, fw, p0, settings):
         return lambda p: calls.append(1) or rhs(p)
 
     monkeypatch.setattr(rk.dynamics, "_gradient_rhs", counting)
-    return rk.simulate_nonlinear(fw, p0, settings), len(calls)
+    table = whole_table(rk.simulate_nonlinear(fw, p0, settings))
+    return table, len(calls)
 
 
 def assert_matches_stepped(traj, fw, p0, settings):
@@ -444,14 +450,15 @@ def test_nonlinear_overflow_reports_the_stepped_reference_step(method):
     bad = np.flatnonzero(~np.isfinite(expected).all(axis=1))
     assert 0 < bad[0] < len(expected) - 1
     message = f"non-finite state at step {bad[0]} (t={bad[0] * settings.dt:.6g})"
+    traj = rk.simulate_nonlinear(fw, p0, settings)
     with pytest.raises(rk.NumericalError) as info:
-        rk.simulate_nonlinear(fw, p0, settings)
+        whole_table(traj)
     assert str(info.value) == message
 
 
 def test_nonlinear_equilibrium_is_stationary():
     fw = square_with_diagonal()
-    traj = rk.simulate_nonlinear(fw, fw.positions, rk.SimSettings(dt=0.01, t_end=1.0))
+    traj = whole_table(rk.simulate_nonlinear(fw, fw.positions, rk.SimSettings(dt=0.01, t_end=1.0)))
     assert np.array_equal(traj.states[-1], fw.positions)
     assert np.abs(traj.edge_errors).max() == 0.0
 
@@ -462,7 +469,7 @@ def test_nonlinear_rotated_reference_is_equilibrium():
     q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     center = fw.points.mean(axis=0)
     rotated = ((fw.points - center) @ q.T + center).ravel()
-    traj = rk.simulate_nonlinear(fw, rotated, rk.SimSettings(dt=0.01, t_end=1.0))
+    traj = whole_table(rk.simulate_nonlinear(fw, rotated, rk.SimSettings(dt=0.01, t_end=1.0)))
     assert np.abs(traj.edge_errors).max() < 1e-12
 
 
@@ -471,7 +478,7 @@ def test_gradient_flow_recovers_shape():
     rng = np.random.default_rng(3)
     bump = rng.normal(size=fw.positions.size)
     bump *= 1e-2 / np.linalg.norm(bump)
-    traj = rk.simulate_nonlinear(fw, fw.positions + bump, rk.SimSettings(dt=1e-3, t_end=10.0))
+    traj = whole_table(rk.simulate_nonlinear(fw, fw.positions + bump, rk.SimSettings(dt=1e-3, t_end=10.0)))
     assert np.all(np.diff(traj.potential) <= 1e-12)
     assert np.abs(traj.edge_errors[-1]).max() < 1e-8
 
@@ -479,9 +486,9 @@ def test_gradient_flow_recovers_shape():
 def test_euler_method_also_converges():
     fw = triangle()
     bump = np.array([0.01, -0.004, 0.0, 0.006, -0.008, 0.0])
-    traj = rk.simulate_nonlinear(
+    traj = whole_table(rk.simulate_nonlinear(
         fw, fw.positions + bump, rk.SimSettings(dt=1e-3, t_end=10.0, method="euler")
-    )
+    ))
     assert np.abs(traj.edge_errors[-1]).max() < 1e-6
 
 
@@ -491,7 +498,7 @@ def test_rk4_order_of_accuracy():
     dp0 = rk.deformation_space(rk.rigidity_matrix(fw)).basis[:, 0]
     final = {}
     for dt in (0.02, 0.01, 0.0025):
-        final[dt] = rk.simulate_lti(sys, dp0, rk.SimSettings(dt=dt, t_end=1.0)).states[-1]
+        final[dt] = whole_table(rk.simulate_lti(sys, dp0, rk.SimSettings(dt=dt, t_end=1.0))).states[-1]
     e_coarse = np.linalg.norm(final[0.02] - final[0.0025])
     e_fine = np.linalg.norm(final[0.01] - final[0.0025])
     assert 10.0 < e_coarse / e_fine < 25.0  # fourth order: about 16x per halving
@@ -501,7 +508,7 @@ def test_lti_kernel_states_are_constant():
     fw = square_with_diagonal()
     sys = rk.linearize(fw, 0, 2)
     v = rk.rbm_basis(fw).v_x
-    traj = rk.simulate_lti(sys, v, rk.SimSettings(dt=0.01, t_end=5.0))
+    traj = whole_table(rk.simulate_lti(sys, v, rk.SimSettings(dt=0.01, t_end=5.0)))
     assert np.abs(traj.states - v).max() < 1e-10
 
 
@@ -509,7 +516,7 @@ def test_lti_eigenvector_decays_exponentially():
     fw = square_with_diagonal()
     sys = rk.linearize(fw, 0, 2)
     lam, vec = np.linalg.eigh(sys.A)
-    traj = rk.simulate_lti(sys, vec[:, 0], rk.SimSettings(dt=1e-3, t_end=1.0))
+    traj = whole_table(rk.simulate_lti(sys, vec[:, 0], rk.SimSettings(dt=1e-3, t_end=1.0)))
     expected = np.exp(lam[0] * 1.0)
     assert abs(np.linalg.norm(traj.states[-1]) - expected) / expected < 1e-6
 
@@ -527,8 +534,9 @@ def test_lti_tail_converges_to_flex_projection():
 def test_non_finite_state_reports_step():
     fw = square_with_diagonal()
     sys = rk.linearize(fw, 0, 2)
+    traj = rk.simulate_lti(sys, sys.B @ np.array([1.0, 0.0]), rk.SimSettings(dt=10.0, t_end=2000.0))
     with pytest.raises(rk.NumericalError, match="step"):
-        rk.simulate_lti(sys, sys.B @ np.array([1.0, 0.0]), rk.SimSettings(dt=10.0, t_end=2000.0))
+        whole_table(traj)
     sc = recovery_scenario(sim=rk.SimSettings(dt=10.0, t_end=2000.0))
     with pytest.raises(rk.NumericalError, match="non-finite state at step 40 "):
         rk.sweep_impulse_angles(sc, system_of(sc), 8)
@@ -572,7 +580,7 @@ def test_lti_matches_stepped_reference(method):
     for fw in oracle_frameworks():
         sys = rk.linearize(fw, 0, fw.n - 1)
         dp0 = rng.normal(size=sys.dim)
-        traj = rk.simulate_lti(sys, dp0, settings)
+        traj = whole_table(rk.simulate_lti(sys, dp0, settings))
         expected = stepped_lti(sys.A, dp0, settings)
         assert traj.states.shape == expected.shape
         assert np.abs(traj.states - expected).max() <= ORACLE_ATOL, (fw.n, method)
@@ -625,13 +633,13 @@ def test_edgeless_framework_runs_every_simulation():
     fw = no_edges(3)
     settings = rk.SimSettings(dt=0.01, t_end=1.0)
     bump = np.linspace(-0.3, 0.2, fw.n * fw.d)
-    nonlinear = rk.simulate_nonlinear(fw, fw.positions + bump, settings)
+    nonlinear = whole_table(rk.simulate_nonlinear(fw, fw.positions + bump, settings))
     assert nonlinear.edge_errors.shape == (101, 0)
     assert np.array_equal(nonlinear.states, np.tile(fw.positions + bump, (101, 1)))
 
     sc = rk.Scenario(framework=fw, actuator=1, sensor=0, w0=np.array([0.6, 0.8]), sim=settings)
     sys = system_of(sc)
-    lti = rk.simulate_lti(sys, bump, settings)
+    lti = whole_table(rk.simulate_lti(sys, bump, settings))
     assert lti.edge_errors.shape == (101, 0)
     assert np.array_equal(lti.states, np.tile(bump, (101, 1)))
 
@@ -828,7 +836,8 @@ def test_uncontrollable_coordinates_reconstruct_pinned_motion():
     fw = square_with_diagonal()
     rbm = rk.rbm_basis(fw)
     plane = rk.controllable_plane(rbm, 0)
-    motion = rk.rbm_motion_from_coords(rbm, plane["n_c"])
+    n_c = plane["n_c"]
+    motion = np.tile(n_c[:2], fw.n) + n_c[2] * rbm.v_r
     assert np.linalg.norm(rk.block(motion, 0, 2)) <= 1e-12
     rot = rk.global_rotation_subspace(fw, 0)
     assert rk.principal_angles(rk.orthonormalize(motion[:, None]), rot).max() < 1e-10
@@ -848,14 +857,14 @@ def test_edge_error_series_equilibrium_and_translation():
     fw = square_with_diagonal()
     sys = rk.linearize(fw, 0, 2)
     settings = rk.SimSettings(dt=0.01, t_end=0.5)
-    hold = rk.simulate_lti(sys, np.zeros(8), settings)
+    hold = whole_table(rk.simulate_lti(sys, np.zeros(8), settings))
     assert np.abs(hold.edge_errors).max() == 0.0
     assert np.abs(hold.potential).max() == 0.0
 
     translation = np.tile([0.5, 0.25], 4)
     assert np.abs(exact_edge_errors(fw, [fw.positions + translation])).max() == 0.0
     bump = np.array([0.01, -0.02, 0.0, 0.03, -0.01, 0.0, 0.02, 0.01])
-    traj = rk.simulate_lti(sys, bump, settings)
+    traj = whole_table(rk.simulate_lti(sys, bump, settings))
     assert same_bits(traj.edge_errors, exact_edge_errors(fw, traj.states + fw.positions))
     assert np.allclose(traj.potential, 0.5 * (traj.edge_errors**2).sum(axis=1), rtol=1e-15, atol=0.0)
 
@@ -878,7 +887,7 @@ def test_edge_error_series_rotational_state():
 
     sys = rk.linearize(fw, 0, 2)
     assert np.abs(sys.rigidity.entries @ dp).max() < 1e-12
-    traj = rk.simulate_lti(sys, dp, rk.SimSettings(dt=0.01, t_end=0.5))
+    traj = whole_table(rk.simulate_lti(sys, dp, rk.SimSettings(dt=0.01, t_end=0.5)))
     assert np.abs(traj.edge_errors - predicted).max() < 1e-12
 
 
@@ -888,7 +897,7 @@ def test_lyapunov_monotonicity_random_perturbations():
         fw = random_rigid_framework(rng, int(rng.integers(4, 7)), 2)
         bump = rng.normal(size=fw.positions.size)
         bump *= 1e-2 / np.linalg.norm(bump)
-        traj = rk.simulate_nonlinear(fw, fw.positions + bump, rk.SimSettings(dt=1e-3, t_end=2.0))
+        traj = whole_table(rk.simulate_nonlinear(fw, fw.positions + bump, rk.SimSettings(dt=1e-3, t_end=2.0)))
         assert np.all(np.diff(traj.potential) <= 1e-12)
 
 

@@ -5,11 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 
 import rigidkit as rk
 from rigidkit.cli import EXIT_OK, main
-from rigidkit.modes import _uncontrollable_parts
+from rigidkit.modes import EIG_GROUP_RTOL, _uncontrollable_parts
 
 from conftest import (
     complete_k4,
@@ -676,11 +676,16 @@ def test_rotation_subspace_lies_in_local_rotation_subspace(case):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=frameworks_with_node(kinds=("minimal", "redundant")))
+@example(case=(square_with_diagonal(), 0))  # U ∩ D of dimension 1, T_i ∩ D too
+@example(case=(square_with_diagonal(), 1))  # U ∩ D of dimension 1, T_i ∩ D of 2
 def test_rotation_theorems_on_rigid_draws(case):
     """On a rigid framework, against the ambient oracles: U ∩ ker R = R_i,
     of dimension at least d(d-1)/2; T_i ∩ ker R = R_i; U lies in T_i; and
     U lies in R_i ⊕ (T_i ∩ D), D the deformation space, the complement of
-    ker R."""
+    ker R. The deforming part U ∩ D is the sum of the E_λ ∩ T_i over the
+    eigenspaces E_λ of A with λ < 0, taken from ``eigh`` of the formed A;
+    the report's ``decomposition_holds`` (U = R_i ⊕ (T_i ∩ D)) reads true
+    exactly where T_i ∩ D is no larger than that."""
     fw, node = case
     event(f"d={fw.d}")
     sys = rk.linearize(fw, node, 0)
@@ -702,3 +707,13 @@ def test_rotation_theorems_on_rigid_draws(case):
     assert rk.contains(t_i, u)
     t_def = intersect(t_i, deform)
     assert rk.contains(rk.orthonormalize(np.hstack([r_i.basis, t_def.basis]), tol=tol), u)
+
+    lam, vec = np.linalg.eigh(sys.A)
+    gap = EIG_GROUP_RTOL * np.abs(lam).max()
+    groups = np.split(np.arange(lam.size), np.flatnonzero(np.diff(lam) > gap) + 1)
+    pinned = [intersect(rk.Subspace(vec[:, g], tol), t_i).dim for g in groups if lam[g].max() < -gap]
+    u_def = intersect(u, deform)
+    assert u_def.dim == sum(pinned)
+    rigid = rk.hidden_mode_checks(sys)["specializations"]["rigid"]
+    event("decomposition holds" if rigid["decomposition_holds"] else "T_i ∩ D larger than U ∩ D")
+    assert rigid["decomposition_holds"] == (t_def.dim == u_def.dim)
