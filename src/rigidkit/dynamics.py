@@ -96,9 +96,10 @@ class Trajectory:
     ``make_blocks()`` makes the states a block of rows at a time, afresh on
     every call: absolute configurations for the nonlinear flow and
     deviations from the reference for the linearized model. :meth:`blocks`
-    is one pass over them, and the one way to read every row. The first pass that runs to the end keeps the
-    state rows of the trailing ``TAIL_FRACTION``, which :meth:`tail_state`
-    and :meth:`tail_edge_errors` read; a later pass makes the same bits and
+    is one pass over them, and the one way to read every row. The first
+    pass that runs to the end keeps the state rows of the trailing
+    ``TAIL_FRACTION``, which :meth:`tail_state` and
+    :meth:`tail_edge_errors` read; a later pass makes the same bits and
     keeps nothing. :meth:`values` computes, for a block of state rows, the
     absolute configurations, their exact squared-length errors against
     ``r_star`` and the potential, half the errors' squared norm per row.
