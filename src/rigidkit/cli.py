@@ -70,12 +70,12 @@ CHECK_ATOL = 1e-12
 # fields formatted per write of a CSV file, and parsed per read of one
 CSV_CHUNK_CELLS = 1 << 12
 # largest float64 table, in bytes, that a run may build or write: max(m, nd)^2
-# for R and the factors of its SVD, U (m x m, built by the call and dropped at
-# once) and V^T (nd x nd); for dichotomy also the sweep's N x max(nd, m) final
-# states and edge errors, and the (steps + 1) x nd states of a trajectory,
-# which it writes a block at a time (no path builds that table whole). A run
-# holds a few tables of that size at once, so larger sizes are refused
-# before anything is allocated or written.
+# for R and the factors of its SVD, U (m x m, built by the call, which keeps
+# its columns past the rank) and V^T (nd x nd); for dichotomy also the sweep's
+# N x max(nd, m) final states and edge errors, and the (steps + 1) x nd states
+# of a trajectory, which it writes a block at a time (no path builds that
+# table whole). A run holds a few tables of that size at once, so larger
+# sizes are refused before anything is allocated or written.
 ARRAY_BUDGET_BYTES = 1 << 30
 
 __all__ = ["main", "EXIT_OK", "EXIT_INPUT", "EXIT_NUMERICAL"]

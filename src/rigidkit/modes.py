@@ -12,7 +12,11 @@ Subspace relations that are expected to be exact are asserted by the test
 suite; relations whose status depends on the framework (equality of the
 uncontrollable subspace with the local rotation subspace, the complete
 graph specialization) are only *reported*, with dimensions and principal
-angles, never assumed.
+angles, never assumed. U ⊆ T_i and U = R_i ⊕ ⊕_{λ<0} (E_λ ∩ T_i) are
+asserted on generic draws only; both fail at symmetric hubs, such as the
+hub of a regular 5-wheel. ``decomposition_holds`` tests equality with
+R_i ⊕ (T_i ∩ D), D the deformation space, which on a generic draw holds
+exactly when dim(T_i ∩ D) = dim(U ∩ D).
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ class LinearizedSystem:
         """Eigenvalues of ``A`` ascending and their orthonormal eigenvectors,
         read-only: with ``R = U diag(s) V^T``, ``-s**2`` padded with zeros to
         nd, and the columns of ``V``."""
-        s, vt = self.rigidity.svd
+        s, vt, _ = self.rigidity.svd
         lam = np.zeros(self.dim)
         with np.errstate(over="ignore"):
             lam[: s.size] = -(s**2)

@@ -41,25 +41,16 @@ __all__ = [
 ]
 
 
-def _default_rank_tol(s: np.ndarray, shape) -> float:
-    """The scale-aware rank cutoff ``max(shape) * sigma_max * eps`` of a
-    matrix of shape ``shape`` and singular values ``s``, used when the run's
-    ``tol.rank`` is ``None``; zero for an empty matrix."""
-    if s.size == 0:
-        return 0.0
-    return max(shape) * float(s[0]) * np.finfo(float).eps
-
-
 @dataclass(frozen=True)
 class RigidityMatrix:
     """Jacobian of the rigidity function at a configuration.
 
     Owns the one SVD of its entries, kept as the factors a run reads (the
-    singular values and ``V^T``, which also give the eigenpairs of
-    ``A = -R^T R``; not U), and the run's tolerances: the rank at the cutoff
-    ``tol.rank`` (scale-aware by default), which the flex space, the
-    deformation space, the classification, the self-stresses and the zero
-    eigenspace of ``A`` all read, and the subspace tolerance ``subspace_tol``.
+    singular values and ``V^T``, which give the eigenpairs of ``A = -R^T R``,
+    and U's columns past the rank; not all of U), and the run's tolerances:
+    the rank at the cutoff ``tol.rank`` (scale-aware by default), which the
+    flex space, the deformation space, the classification, the self-stresses
+    and the zero eigenspace of ``A`` all read, and ``subspace_tol``.
     """
 
     entries: np.ndarray  # (m, n*d)
@@ -76,26 +67,28 @@ class RigidityMatrix:
         return self.entries.shape
 
     @cached_property
-    def svd(self) -> tuple[np.ndarray, np.ndarray]:
-        """Singular values ``s`` and the full ``Vt`` (nd x nd) of the entries,
-        computed once, read-only. The full SVD also builds U (m x m), which
-        nothing reads, so it is dropped as soon as the call returns."""
-        _, s, vt = np.linalg.svd(self.entries, full_matrices=True)
-        s.setflags(write=False)
-        vt.setflags(write=False)
-        return s, vt
-
-    @cached_property
-    def rank(self) -> int:
-        """Number of singular values above the rank cutoff, computed once.
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Singular values ``s``, the full ``Vt`` (nd x nd) and a copy of U's
+        columns past the rank cutoff (m x (m - rank)) of the entries, computed
+        once, read-only; the m x m U is dropped as soon as the call returns.
         The d translations are exact flexes, so a ``tol.rank`` that gives a
         rank above ``nd - d`` counts rounding noise and is refused."""
-        s = self.svd[0]
-        cutoff = _default_rank_tol(s, self.shape) if self.tol.rank is None else self.tol.rank
+        u, s, vt = np.linalg.svd(self.entries, full_matrices=True)
+        cutoff = self.tol.rank
+        if cutoff is None:  # scale-aware, max(shape) * sigma_max * eps; zero for an empty matrix
+            cutoff = max(self.shape) * float(s[0]) * np.finfo(float).eps if s.size else 0.0
         rank, most = int(np.sum(s > cutoff)), self.shape[1] - self.framework.d
         if self.tol.rank is not None and rank > most:
             raise ValidationError(f"tol.rank: cutoff {cutoff!r} gives rank {rank}, above nd - d = {most}")
-        return rank
+        u_null = u[:, rank:].copy()
+        for f in (s, vt, u_null):
+            f.setflags(write=False)
+        return s, vt, u_null
+
+    @property
+    def rank(self) -> int:
+        """m less the width of U's columns past the rank cutoff in :attr:`svd`."""
+        return self.shape[0] - self.svd[2].shape[1]
 
     @property
     def subspace_tol(self) -> float:
@@ -213,11 +206,8 @@ def flex_space(rm: RigidityMatrix) -> Subspace:
 
 def self_stress_space(rm: RigidityMatrix) -> Subspace:
     """Self-stresses: the nullspace of the transposed rigidity matrix at the
-    run's rank ``rm.rank``, from an SVD of its own (R's U spans it in another
-    basis, but is not kept). ``Subspace`` copies the rows it reads, so the
-    m x m factor is freed on return."""
-    vt = np.linalg.svd(rm.entries.T, full_matrices=True)[2]
-    return Subspace(basis=vt[rm.rank :].T, tol=rm.subspace_tol)
+    run's rank cutoff, U's columns past the rank in the cached SVD."""
+    return Subspace(basis=rm.svd[2], tol=rm.subspace_tol)
 
 
 def deformation_space(rm: RigidityMatrix) -> Subspace:

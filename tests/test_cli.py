@@ -136,10 +136,10 @@ def test_decompositions_computed_once_per_run(tmp_path, monkeypatch, scenario):
     subspaces in all (none per eigenvalue group: the n = 120 lattice has 238
     groups) and, on that lattice, whose actuator is its sensor, fewer than
     300 SVDs: one pinning per group, not one per group for each of the node
-    sets (i,) and (i, i); ``analyze`` one SVD each of R and R^T and one of
-    the rigid-body rotation generators; ``dichotomy`` with a sweep and the
-    nonlinear run builds R once, runs no eigh, one SVD of R and one of the
-    rotation generators.
+    sets (i,) and (i, i); ``analyze`` one SVD of R, which gives the
+    self-stresses too, and one of the rigid-body rotation generators;
+    ``dichotomy`` with a sweep and the nonlinear run builds R once, runs no
+    eigh, one SVD of R and one of the rotation generators.
 
     Every rigidkit module is imported before anything is patched: a module
     first imported under the patch would keep the counting wrapper of this
@@ -186,7 +186,7 @@ def test_decompositions_computed_once_per_run(tmp_path, monkeypatch, scenario):
         assert modes["svd"] < 300, modes
     assert len(subspaces) < 50, len(subspaces)
     no_rotations = {"classify_rigidity": 1, "global_rotation_subspace": 0, "local_rotation_subspace": 0}
-    assert counted_run("analyze") == {"eigh": 0, "svd": 3, "rigidity_matrix": 1, **no_rotations}
+    assert counted_run("analyze") == {"eigh": 0, "svd": 2, "rigidity_matrix": 1, **no_rotations}
     dichotomy = counted_run("dichotomy", "--sweep", 8, "--nonlinear", "--t-end", 2)
     assert dichotomy == {"eigh": 0, "svd": 2, "rigidity_matrix": 1, **no_rotations}
 

@@ -389,8 +389,25 @@ def test_ill_conditioned_square_completes(tmp_path):
     assert rk.principal_angles(sys.unobservable, swapped).max() < 1e-10
 
 
+def regular_wheel(k: int) -> rk.Framework:
+    """Hub 0 at the origin and k rim agents evenly on the unit circle, joined
+    by k spokes and k rim edges: rigid with redundancy for k >= 4."""
+    angles = 2 * np.pi * np.arange(k) / k
+    rim = np.column_stack([np.cos(angles), np.sin(angles)])
+    edges = [(0, j) for j in range(1, k + 1)] + [(j, j % k + 1) for j in range(1, k + 1)]
+    return rk.Framework.from_points(np.vstack([np.zeros(2), rim]), edges)
+
+
 def test_hidden_mode_checks_complete_on_examples():
-    for fw in [triangle(), complete_k4(), square_with_diagonal(), four_cycle()]:
+    """Every check completes, and the theorems hold, on the canned examples
+    and on the regular 5- and 6-wheels actuated at the hub. At those
+    symmetric hubs U is larger than T_i, as the Krylov oracle confirms: the
+    hidden pinned eigenvectors vanish at the hub and their spokes' pulls
+    cancel there. So U ⊆ T_i and the decomposition U = R_i ⊕ (T_i ∩ D)
+    read false, while the existence bound and U ∩ ker R = R_i still hold."""
+    examples = [(fw, None) for fw in [triangle(), complete_k4(), square_with_diagonal(), four_cycle()]]
+    examples += [(regular_wheel(5), (6, 5)), (regular_wheel(6), (8, 6))]  # (dim U, dim T_i) at the hub
+    for fw, hub_dims in examples:
         sys = rk.linearize(fw, 0, min(1, fw.n - 1))
         checks = rk.hidden_mode_checks(sys)
         assert checks["rotation_inclusion"]["holds"]
@@ -398,6 +415,12 @@ def test_hidden_mode_checks_complete_on_examples():
         if checks["classification"] != rk.FLEXIBLE:
             assert checks["existence_bound"]["holds"]
             assert checks["rotation_characterization"]["matches"]
+        if hub_dims is not None:
+            u_dim, t_dim = hub_dims
+            assert sys.uncontrollable.dim == krylov_hidden(sys.A, sys.B).dim == u_dim
+            assert rk.local_rotation_subspace(fw, 0).dim == t_dim
+            assert not checks["uncontrollable_vs_local_rotation"]["local_contains_uncontrollable"]
+            assert not checks["specializations"]["rigid"]["decomposition_holds"]
 
 
 # ------------------------------------------- node-block forms vs intersections

@@ -221,15 +221,21 @@ def test_is_infinitesimally_rigid():
 
 
 def test_flex_and_deformation_spaces_complement(assorted_frameworks):
-    """Both spaces come from the one cached SVD; the oracles are a separate
-    nullspace SVD and an orthonormal basis of the columns of R^T."""
+    """The flex, deformation and self-stress spaces come from the one cached
+    SVD; the oracles are separate nullspace SVDs of R and R^T and an
+    orthonormal basis of the columns of R^T."""
     for fw in assorted_frameworks:
         rm = rk.rigidity_matrix(fw)
-        flex, deform = rk.flex_space(rm), rk.deformation_space(rm)
+        flex, deform, stress = rk.flex_space(rm), rk.deformation_space(rm), rk.self_stress_space(rm)
         nd = fw.n * fw.d
+        scale = np.abs(rm.entries).max(initial=1.0)
         assert flex.dim + deform.dim == nd
         assert deform.dim == rm.rank
-        assert np.linalg.norm(rm.entries @ flex.basis) <= 1e-10 * np.abs(rm.entries).max(initial=1.0)
+        assert np.linalg.norm(rm.entries @ flex.basis) <= 1e-10 * scale
+        assert stress.dim == fw.m - rm.rank
+        assert np.linalg.norm(rm.entries.T @ stress.basis) <= 1e-10 * scale
+        oracle_stress = nullspace(rm.entries.T)
+        assert rk.contains(stress, oracle_stress) and rk.contains(oracle_stress, stress)
         assert rk.direct_sum_check(flex, deform, rk.orthonormalize(np.eye(nd)))
         oracle_flex = nullspace(rm.entries)
         assert rk.contains(flex, oracle_flex) and rk.contains(oracle_flex, flex)
@@ -259,15 +265,17 @@ def lattice120() -> rk.Framework:
     ids=["flexible", "minimally-rigid", "lattice120", "k20"],
 )
 def test_cached_svd_is_numpys_full_svd_without_u(make, m, nd):
-    """``rm.svd`` holds the singular values and V^T of numpy's full SVD of
-    the entries, bit for bit, and no m x m factor; the self-stress basis is
-    a copy, not a view that keeps its own SVD's m x m V^T alive."""
+    """``rm.svd`` holds the singular values, V^T and U's columns past the
+    rank of numpy's full SVD of the entries, bit for bit, and no m x m
+    factor: the U block is a copy, not a view that keeps all of U alive."""
     fw = make()
     rm = rk.rigidity_matrix(fw)
     assert (fw.m, fw.n * fw.d) == (m, nd)
-    _, s, vt = np.linalg.svd(rm.entries, full_matrices=True)
-    assert [f.shape for f in rm.svd] == [(min(m, nd),), (nd, nd)]
+    u, s, vt = np.linalg.svd(rm.entries, full_matrices=True)
+    assert [f.shape for f in rm.svd] == [(min(m, nd),), (nd, nd), (m, m - rm.rank)]
     assert np.array_equal(rm.svd[0], s) and np.array_equal(rm.svd[1], vt)
+    assert np.array_equal(rm.svd[2], u[:, rm.rank :]) and rm.svd[2].base is None
+    assert not any(f.flags.writeable for f in rm.svd)
     assert rk.self_stress_space(rm).basis.base is None
 
 

@@ -19,6 +19,13 @@ much better the change's median is) and ``parent_iqr``. A claimed metric
 holds when the change wins at least 9 pairs in 10 and its median drop is
 larger than the parent's interquartile range; the verdict is printed.
 
+Before the pairs, the file records the machine's floor: the median wall
+time of ``FLOOR_SPAWNS`` sequential spawns of each of ``python -c pass``,
+``python -S -c pass`` and ``python -c "import numpy"``, and the caller's
+``PYTHONDONTWRITEBYTECODE`` and ``OPENBLAS_NUM_THREADS``. Every timed call
+pays the floor, and with ``PYTHONDONTWRITEBYTECODE`` set each call compiles
+rigidkit from source, so its time and peak memory move with the source.
+
 Standard library only.
 """
 
@@ -35,10 +42,14 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 RUN = "python3 benchmark/run.py --workload {workload} --seed N --seconds {seconds} --trace {trace}"
+FLOOR = {"python -c pass": ["-c", "pass"], "python -S -c pass": ["-S", "-c", "pass"],
+         'python -c "import numpy"': ["-c", "import numpy"]}
+FLOOR_SPAWNS = 11
 
 
 def git(*args: str) -> bytes:
@@ -115,6 +126,20 @@ def holds(metric: dict, pairs: int) -> bool:
     return metric["change_wins"] >= math.ceil(0.9 * pairs) and metric["median_drop"] > metric["parent_iqr"]
 
 
+def floor() -> dict[str, float]:
+    """Median wall time, in seconds, of ``FLOOR_SPAWNS`` sequential spawns of
+    each ``FLOOR`` command."""
+    medians = {}
+    for name, args in FLOOR.items():
+        times = []
+        for _ in range(FLOOR_SPAWNS):
+            start = time.perf_counter()
+            subprocess.run([sys.executable, *args], check=True)
+            times.append(time.perf_counter() - start)
+        medians[name] = statistics.median(times)
+    return medians
+
+
 def numpy_version() -> str:
     proc = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                           capture_output=True, text=True)
@@ -155,6 +180,8 @@ def main() -> int:
         "pairing": f"seed N runs once per side and workload; odd seeds run the parent first, even seeds the "
                    f"change first; seeds {args.seeds[0]}-{args.seeds[-1]}. Each side ran from a git archive "
                    f"of its revision, through its own benchmark/.",
+        "floor_s": floor(),
+        "environment": {name: os.environ.get(name) for name in ("PYTHONDONTWRITEBYTECODE", "OPENBLAS_NUM_THREADS")},
         "runs": [],
         "summary": {},
     }
