@@ -494,8 +494,6 @@ def _add_common(parser: argparse.ArgumentParser, scenario_arg: bool = True) -> N
     parser.add_argument("--out", default=None, help="output directory (default: $RIGIDKIT_OUT or .)")
     parser.add_argument("--tol-rank", type=float, default=None, help="rank tolerance override")
     parser.add_argument("--tol-subspace", type=float, default=None, help="subspace tolerance override")
-    parser.add_argument("--dt", type=float, default=None, help="integrator step override")
-    parser.add_argument("--t-end", type=float, default=None, help="integration horizon override")
     parser.add_argument(
         "--check",
         action="store_true",
@@ -520,6 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dich = sub.add_parser("dichotomy", help="impulse experiment: recovery vs distortion")
     _add_common(p_dich)
+    p_dich.add_argument("--dt", type=float, default=None, help="integrator step override")
+    p_dich.add_argument("--t-end", type=float, default=None, help="integration horizon override")
     p_dich.add_argument("--sweep", type=int, default=0, help="also sweep N input angles")
     p_dich.add_argument(
         "--nonlinear", action="store_true", help="also run the nonlinear comparison trajectory"

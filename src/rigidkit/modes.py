@@ -121,26 +121,22 @@ class LinearizedSystem:
         """Rigid-body basis of the framework (see :func:`rbm_basis`), computed once."""
         return rbm_basis(self.framework)
 
-    def pinned_coeffs(self, nodes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    def pinned_coeffs(self, node: int) -> tuple[np.ndarray, ...]:
         """Per eigenvalue group, the coefficients c whose combination
-        ``basis @ c`` vanishes at every node in ``nodes`` (up to the subspace
-        tolerance); computed once per set of nodes, so pinning at ``(i, i)``
-        is pinning at ``(i,)``."""
-        nodes = tuple(sorted(set(nodes)))
-        if nodes not in self._pinned:
-            d = self.framework.d
-            tol = self.rigidity.subspace_tol
-            rows = np.concatenate([np.arange(k * d, (k + 1) * d) for k in nodes])
-            coeffs = tuple(_null_coeffs(basis[rows, :], tol) for _, basis in self.eigen_groups)
+        ``basis @ c`` vanishes at ``node`` (up to the subspace tolerance);
+        computed once per node."""
+        if node not in self._pinned:
+            rows, tol = _block_rows(node, self.framework.d), self.rigidity.subspace_tol
+            coeffs = tuple(_null_coeffs(basis[rows], tol) for _, basis in self.eigen_groups)
             for c in coeffs:
                 c.setflags(write=False)
-            self._pinned[nodes] = coeffs
-        return self._pinned[nodes]
+            self._pinned[node] = coeffs
+        return self._pinned[node]
 
     def _pinned_pieces(self, node: int) -> list[np.ndarray]:
         """Per eigenvalue group, the part of the eigenspace whose block at
         ``node`` vanishes; the pieces are mutually orthogonal."""
-        coeffs = self.pinned_coeffs((node,))
+        coeffs = self.pinned_coeffs(node)
         return [basis @ c for (_, basis), c in zip(self.eigen_groups, coeffs)]
 
     @cached_property
@@ -206,20 +202,14 @@ def _block_rows(node: int, d: int) -> slice:
 
 def _null_coeffs(m: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal coefficient vectors c with ``|m @ c| <= tol``: the right
-    singular vectors of ``m`` whose singular value is at most ``tol``."""
+    singular vectors of ``m`` whose singular value is at most ``tol``; for an
+    empty ``m``, every direction, without an SVD."""
+    if not m.size:
+        return np.eye(m.shape[1])
     _, s, vt = np.linalg.svd(m, full_matrices=True)
     # directions beyond the row count have no singular value: in the kernel as well
     mask = np.concatenate([s <= tol, np.ones(m.shape[1] - s.size, dtype=bool)])
     return vt[mask].T
-
-
-def _rank(m: np.ndarray, cutoff: float, relative: bool = False) -> int:
-    """Count of singular values of ``m`` above ``cutoff`` (times the largest
-    one when ``relative``); zero for an empty matrix."""
-    s = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)
-    if relative and s.size:
-        cutoff *= s[0]
-    return int(np.sum(s > cutoff))
 
 
 def global_rotation_subspace(fw: Framework, node: int, tol: float = DEFAULT_TOL) -> Subspace:
@@ -327,28 +317,27 @@ def classify_modes(sys: LinearizedSystem) -> dict:
     categories by pinning at the actuator and sensor nodes; the JSON-ready
     ``mode_report`` of ``modes.json``, nodes 1-based.
 
-    The doubly hidden part of an eigenspace collects the eigenvectors pinned
-    at both nodes; the uncontrollable-but-observable part is its orthogonal
-    complement inside the part pinned at the actuator (dually for the
-    sensor), and the rest is controllable and observable. Each dimension is
-    a rank in the eigenspace's orthonormal coefficients: a pinned part minus
-    its overlap with the doubly hidden part, and the visible part is what
-    the two pinned parts together leave of the eigenspace (rank counted as
-    :func:`orthonormalize` counts it). The four dimensions of an eigenspace
-    add up to its multiplicity, and ``four_way`` sums them over all."""
+    In an eigenspace of multiplicity r, the parts pinned at the actuator
+    (coefficients ``nc``) and at the sensor (``no``) are counted once each,
+    and the doubly hidden part is the null coefficients of the sensor block
+    restricted to ``nc``: ``both`` of them. The dimensions are
+    ``r - |nc| - |no| + both`` (controllable and observable), ``|nc| - both``,
+    ``|no| - both`` and ``both``, so they add up to r at every tolerance.
+    None is negative: the restriction raises no singular value of the sensor
+    block and lowers at most ``r - |nc|`` of them past the tolerance (Cauchy
+    interlacing); as a singular value within rounding of the tolerance can
+    break that by a count, ``both`` is held to the range interlacing gives.
+    ``four_way`` sums the dimensions over all groups."""
+    tol, rows = sys.rigidity.subspace_tol, _block_rows(sys.sensor, sys.framework.d)
     groups = []
-    for (lam, basis), nc, no, nh in zip(
-        sys.eigen_groups,
-        sys.pinned_coeffs((sys.actuator,)),
-        sys.pinned_coeffs((sys.sensor,)),
-        sys.pinned_coeffs((sys.actuator, sys.sensor)),
-    ):
-        r = basis.shape[1]
+    for (lam, basis), nc, no in zip(sys.eigen_groups, sys.pinned_coeffs(sys.actuator), sys.pinned_coeffs(sys.sensor)):
+        r, a, o = basis.shape[1], nc.shape[1], no.shape[1]
+        both = min(max(_null_coeffs(basis[rows] @ nc, tol).shape[1], a + o - r), o)
         dims = {
-            "controllable_observable": r - _rank(np.hstack([nc, no]), DEFAULT_TOL, relative=True),
-            "uncontrollable_observable": nc.shape[1] - _rank(nc.T @ nh, 1e-12),
-            "controllable_unobservable": no.shape[1] - _rank(no.T @ nh, 1e-12),
-            "uncontrollable_unobservable": nh.shape[1],
+            "controllable_observable": r - a - o + both,
+            "uncontrollable_observable": a - both,
+            "controllable_unobservable": o - both,
+            "uncontrollable_unobservable": both,
         }
         groups.append({"value": lam, "multiplicity": r, "dims": dims})
     # the zero eigenspace is always a group, possibly of multiplicity 0
@@ -368,7 +357,7 @@ def _uncontrollable_parts(sys: LinearizedSystem) -> tuple[Subspace, Subspace]:
     zero eigenspace, ``k0`` being that group's pinned count. The second part
     is U ∩ ker R."""
     u, tol = sys.uncontrollable, sys.rigidity.subspace_tol
-    split = u.dim - sys.pinned_coeffs((sys.actuator,))[-1].shape[1]
+    split = u.dim - sys.pinned_coeffs(sys.actuator)[-1].shape[1]
     return Subspace(u.basis[:, :split], tol), Subspace(u.basis[:, split:], tol)
 
 
@@ -382,8 +371,9 @@ def _split_section(sys: LinearizedSystem, u_def: Subspace, u_rbm: Subspace, defo
     pinned ambient subspace is also reported: it can be strictly larger
     because it may mix eigenspaces. A unit vector ``deform.basis @ c`` lies
     within ``|block @ c|`` of the pinned subspace, ``block`` being the basis
-    rows at the actuator, so the intersection has dimension
-    ``deform.dim - rank(block)``.
+    rows at the actuator, so the intersection has the dimension of the null
+    coefficients of ``block``: ``deform.dim`` less its singular values above
+    the tolerance.
     """
     u = sys.uncontrollable
     block = deform.basis[_block_rows(sys.actuator, sys.framework.d)]
@@ -393,7 +383,7 @@ def _split_section(sys: LinearizedSystem, u_def: Subspace, u_rbm: Subspace, defo
         "deformation_component_dim": u_def.dim,
         "direct_sum_holds": direct_sum_check(u_rbm, u_def, u),
         "component_principal_angles": _angles_list(u_rbm, u_def),
-        "ambient_deformation_intersection_dim": deform.dim - _rank(block, sys.rigidity.subspace_tol),
+        "ambient_deformation_intersection_dim": _null_coeffs(block, sys.rigidity.subspace_tol).shape[1],
     }
 
 

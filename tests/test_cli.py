@@ -202,6 +202,18 @@ def test_missing_scenario_exits_2(tmp_path):
     assert run(["analyze", tmp_path / "nope.json", "--out", tmp_path]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("command", ["analyze", "modes"])
+@pytest.mark.parametrize("flag", ["--dt", "--t-end"])
+def test_sim_flags_refused_where_nothing_simulates(tmp_path, capsys, triangle_file, command, flag):
+    """Only ``dichotomy`` simulates, so only it takes ``--dt`` and ``--t-end``;
+    elsewhere argparse refuses them with exit 2 and writes nothing."""
+    with pytest.raises(SystemExit) as exc:
+        run([command, triangle_file, "--out", tmp_path / "run", flag, 0.1])
+    assert exc.value.code == EXIT_INPUT
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"unrecognized arguments: {flag} 0.1")
+    assert not (tmp_path / "run").exists()
+
+
 def test_modes_triangle(tmp_path, triangle_file):
     out = tmp_path / "run"
     assert run(["modes", triangle_file, "--out", out]) == EXIT_OK
@@ -1703,14 +1715,15 @@ def test_broken_run_directory_exits_cleanly(tmp_path, case_file, capsys, argv, e
     stderr, naming the file, never in an exception; a manifest that is not
     JSON is replaced."""
     out = tmp_path / "run"
-    sim = SHORT_SIM["dichotomy"]  # every run records the same scenario.json
-    assert run(["analyze", case_file, "--out", out, *sim]) == EXIT_OK
-    assert run(["dichotomy", case_file, "--out", out, *sim]) == EXIT_OK
-    assert run(["modes", case_file, "--out", out, *sim]) == EXIT_OK
+    # a short sim in the file itself, so every run records the same scenario.json
+    write_scenario(case_file, case_study_scenario_dict(sim={"dt": 0.02, "t_end": 2.0, "method": "rk4"}))
+    assert run(["analyze", case_file, "--out", out]) == EXIT_OK
+    assert run(["dichotomy", case_file, "--out", out]) == EXIT_OK
+    assert run(["modes", case_file, "--out", out]) == EXIT_OK
     edit(out)
     capsys.readouterr()
     command, *flags = argv
-    target = [out] if command == "plotdata" else [case_file, "--out", out, *sim]
+    target = [out] if command == "plotdata" else [case_file, "--out", out]
     assert run([command, *target, *flags]) == code
     err = capsys.readouterr().err.splitlines()
     if message is None:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 import rigidkit as rk
 from rigidkit.cli import EXIT_OK, main
@@ -345,13 +346,77 @@ def test_classify_modes_same_node():
     assert report["four_way"]["uncontrollable_unobservable"] == unctrl.dim
 
 
-def test_classify_modes_dimensions_tile_random():
+def square_halfway(actuator: int, sensor: int) -> tuple:
+    """The square with a diagonal at ``tol.subspace`` halfway between the
+    larger of the fastest eigenvector's two block norms, at ``actuator`` and
+    at ``sensor``, and their hypot: that eigenvector counts as pinned at each
+    node alone, but its two blocks stacked do not vanish."""
+    fw = square_with_diagonal()
+    _, basis = rk.linearize(fw, actuator, sensor).eigen_groups[0]
+    assert basis.shape[1] == 1  # lambda ≈ -20.94, simple
+    norms = [np.linalg.norm(basis[k * fw.d : (k + 1) * fw.d]) for k in (actuator, sensor)]
+    return fw, actuator, sensor, (max(norms) + np.hypot(*norms)) / 2
+
+
+def seeded_tiling_draws(test):
+    """Eight seeded random rigid frameworks in the plane, each with a random
+    actuator and sensor, at the default tolerance, as examples of ``test``."""
     rng = np.random.default_rng(23)
     for _ in range(8):
         fw = random_rigid_framework(rng, int(rng.integers(4, 8)), 2)
         i, j = rng.integers(fw.n, size=2)
-        report = rk.classify_modes(rk.linearize(fw, int(i), int(j)))
-        assert sum(report["four_way"].values()) == fw.n * fw.d
+        test = example(case=(fw, int(i), int(j), None))(test)
+    return test
+
+
+@st.composite
+def tiling_cases(draw):
+    """A draw of ``frameworks_with_node`` (the actuator) as it is, with one
+    agent moved far out, or with one agent moved next to the line through
+    two others; a drawn sensor; and ``tol.subspace`` log-uniform in
+    [1e-10, 1]."""
+    fw, actuator = draw(frameworks_with_node())
+    points = fw.points.copy()
+    shape = draw(st.sampled_from(["as drawn", "far agent", "near-collinear triple"]))
+    event(shape)
+    if shape == "far agent":
+        k = draw(st.integers(0, fw.n - 1))
+        points[k] += draw(st.floats(10, 1000)) * (points[k] - points.mean(axis=0))
+    elif shape == "near-collinear triple":
+        i, j, k = draw(st.permutations(range(fw.n)))[:3]
+        step = points[j] - points[i]
+        off = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(fw.d)
+        off *= draw(st.floats(1e-9, 1e-3)) * np.linalg.norm(step) / np.linalg.norm(off)
+        points[k] = points[i] + draw(st.floats(-1, 2)) * step + off
+    moved = rk.Framework.from_points(points, fw.edges)
+    return moved, actuator, draw(st.integers(0, fw.n - 1)), 10.0 ** draw(st.floats(-10, 0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=tiling_cases())
+@example(case=square_halfway(0, 1))
+@example(case=square_halfway(0, 2))
+@seeded_tiling_draws
+def test_classify_modes_dimensions_tile_random(case):
+    """Per eigenvalue group, the four dimensions are non-negative and add up
+    to the multiplicity, at every tolerance; over all groups, the two
+    uncontrollable parts make up U, the two unobservable parts make up the
+    unobservable subspace, and ``four_way`` adds up to the state dimension.
+    Near-degenerate draws may exit as a ``NumericalError``, which is counted."""
+    fw, actuator, sensor, subspace = case
+    sys = rk.linearize(fw, actuator, sensor, rk.ToleranceOverrides(subspace=subspace))
+    try:
+        report = rk.classify_modes(sys)
+    except rk.NumericalError:
+        event("NumericalError")
+        return
+    for group in report["eigenvalues"]:
+        assert min(group["dims"].values()) >= 0, group
+        assert sum(group["dims"].values()) == group["multiplicity"], group
+    four_way = report["four_way"]
+    assert four_way["uncontrollable_observable"] + four_way["uncontrollable_unobservable"] == sys.uncontrollable.dim
+    assert four_way["controllable_unobservable"] + four_way["uncontrollable_unobservable"] == sys.unobservable.dim
+    assert sum(four_way.values()) == report["state_dim"] == fw.n * fw.d
 
 
 def test_mode_report_serializable():
@@ -582,19 +647,27 @@ def _complement_coeffs(sub: np.ndarray, r: int) -> np.ndarray:
     return u[:, int(np.sum(s > 1e-12)):]
 
 
+def pinned_oracle(basis, nodes, d, tol) -> np.ndarray:
+    """Independent oracle for pinning: the coefficients of ``basis`` whose
+    combination vanishes at every one of ``nodes``, as the null space of the
+    stacked block rows (singular values at most ``tol``)."""
+    rows = np.concatenate([np.arange(k * d, (k + 1) * d) for k in sorted(set(nodes))])
+    return nullspace(basis[rows], rank_tol=tol).basis
+
+
 def ambient_four_way(sys) -> list[dict]:
-    """The four-way split that the coefficient ranks of ``classify_modes``
-    replaced, made as before: per eigenvalue group, each part as the ambient
-    subspace ``basis @ coeffs``. Kept as their oracle."""
-    tol = sys.rigidity.subspace_tol
+    """The four-way split made as a set of ambient subspaces: per eigenvalue
+    group, the parts pinned at the actuator, at the sensor and at both (each
+    its own SVD of the stacked block rows), and each part as ``basis @
+    coeffs``: the doubly hidden part, its complements inside the two pinned
+    parts, and the complement of both pinned parts together. It reads only
+    the eigenvalue groups of ``sys``, not its pinning."""
+    tol, d = sys.rigidity.subspace_tol, sys.framework.d
     groups = []
-    for (_, basis), nc, no, nh in zip(
-        sys.eigen_groups,
-        sys.pinned_coeffs((sys.actuator,)),
-        sys.pinned_coeffs((sys.sensor,)),
-        sys.pinned_coeffs((sys.actuator, sys.sensor)),
-    ):
+    for _, basis in sys.eigen_groups:
         r = basis.shape[1]
+        nc, no, nh = (pinned_oracle(basis, nodes, d, tol)
+                      for nodes in ((sys.actuator,), (sys.sensor,), (sys.actuator, sys.sensor)))
         both = np.hstack([nc, no]) if (nc.shape[1] or no.shape[1]) else np.zeros((r, 0))
         coeffs = {
             "controllable_observable": _complement_coeffs(rk.orthonormalize(both).basis, r),

@@ -22,7 +22,9 @@ larger than the parent's interquartile range; the verdict is printed.
 Before the pairs, the file records the machine's floor: the median wall
 time of ``FLOOR_SPAWNS`` sequential spawns of each of ``python -c pass``,
 ``python -S -c pass`` and ``python -c "import numpy"``, and the caller's
-``PYTHONDONTWRITEBYTECODE`` and ``OPENBLAS_NUM_THREADS``. Every timed call
+``PYTHONDONTWRITEBYTECODE`` and ``OPENBLAS_NUM_THREADS``, and
+``src_lines``: the total line count of ``src/rigidkit/*.py`` in each
+extracted tree, as ``wc -l`` gives it. Every timed call
 pays the floor, and with ``PYTHONDONTWRITEBYTECODE`` set each call compiles
 rigidkit from source, so its time and peak memory move with the source.
 
@@ -63,6 +65,11 @@ def extract(rev: str, dest: Path) -> None:
             tar.extractall(dest, filter="data")
         else:
             tar.extractall(dest)
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of ``src/rigidkit/*.py`` in ``tree``, summed: newlines, as ``wc -l`` counts."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "rigidkit").glob("*.py"))
 
 
 def seeds(text: str) -> list[int]:
@@ -175,6 +182,7 @@ def main() -> int:
                               trace=args.trace),
         "parent": revs["parent"],
         "change": revs["change"],
+        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
         "machine": f"{os.cpu_count()}-core {platform.system()}, Python {platform.python_version()}, "
                    f"numpy {numpy_version()}",
         "pairing": f"seed N runs once per side and workload; odd seeds run the parent first, even seeds the "
