@@ -423,6 +423,7 @@ def cmd_dichotomy(args) -> int:
             out_dir / "outcome.json",
         )
         _write_trajectory_csv(trajectory, out_dir / "trajectory.csv")
+        del trajectory  # and the tail rows that pass kept, before the sweep
         if args.sweep:
             table = sweep_impulse_angles(scenario, sys_, args.sweep)
             _write_csv(
@@ -488,9 +489,8 @@ def cmd_plotdata(args) -> int:
     return _run_command(args, "plotdata", runner)
 
 
-def _add_common(parser: argparse.ArgumentParser, scenario_arg: bool = True) -> None:
-    if scenario_arg:
-        parser.add_argument("scenario", help="path to a scenario JSON file")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("scenario", help="path to a scenario JSON file")
     parser.add_argument("--out", default=None, help="output directory (default: $RIGIDKIT_OUT or .)")
     parser.add_argument("--tol-rank", type=float, default=None, help="rank tolerance override")
     parser.add_argument("--tol-subspace", type=float, default=None, help="subspace tolerance override")

@@ -19,8 +19,9 @@ Only the nonlinear flow is stepped. ``A`` is symmetric, so a fixed-step
 method applied to ``x' = A x`` acts mode by mode: step k maps ``x0`` to
 ``V diag(g**k) V^T x0``, where ``A = V diag(lam) V^T`` and ``g`` is the
 method's growth factor per step at ``dt * lam`` (its stability function;
-Hairer & Wanner, Solving ODEs II, IV.2). The linearized trajectory and the
-angle sweep both read this closed-form iterate.
+Hairer & Wanner, Solving ODEs II, IV.2). The linearized trajectory reads
+this closed-form iterate, and the impulse experiment and the angle sweep
+read its tail mean, ``V diag(mean of g**k) V^T x0``.
 
 The nonlinear flow stops stepping at the first step that returns its input
 bit for bit: the step map is a pure function of the state, so every later
@@ -30,15 +31,13 @@ stepped run gives.
 A trajectory is made a block of rows at a time and keeps no table whose
 size grows with the step count: ``dichotomy`` writes each block and drops
 it, and the trajectory keeps only the tail rows of its first pass that
-ends, which the final means read. The linearized
+ends, which the nonlinear final mean reads. The linearized
 model's blocks are rows of ``V diag(g**k) V^T x0``, all of one height, the
 last one ending at the final step and overlapping the one before it. With
 numpy's OpenBLAS such a matmul gives the whole table's rows bit for bit at
 every width up to 192 on one thread, as the CLI runs, and up to 128 on two,
 and at the multiples of 8 above those (as measured, widths 2-299); a
-shorter block may round differently, and so may other widths. The angle
-sweep builds only the tail rows it averages, and scans every row in
-blocks only when the last one is not finite.
+shorter block may round differently, and so may other widths.
 
 The nonlinear step makes few numpy calls, since at small n their fixed
 cost is the step's cost: the edge vectors are gathered straight from the
@@ -98,11 +97,10 @@ class Trajectory:
     deviations from the reference for the linearized model. :meth:`blocks`
     is one pass over them, and the one way to read every row. The first
     pass that runs to the end keeps the state rows of the trailing
-    ``TAIL_FRACTION``, which :meth:`tail_state` and
-    :meth:`tail_edge_errors` read; a later pass makes the same bits and
-    keeps nothing. :meth:`values` computes, for a block of state rows, the
-    absolute configurations, their exact squared-length errors against
-    ``r_star`` and the potential, half the errors' squared norm per row.
+    ``TAIL_FRACTION``, which :meth:`tail_edge_errors` reads; a later pass
+    makes the same bits and keeps nothing. :meth:`values` gives a block of
+    state rows' absolute configurations, exact squared-length errors against
+    ``r_star`` and potential, half the errors' squared norm per row.
     """
 
     kind: str  # "nonlinear" | "lti"
@@ -114,8 +112,7 @@ class Trajectory:
     _tail_rows: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def blocks(self) -> Iterator[np.ndarray]:
-        """The blocks of one pass; the first pass that ends keeps its rows
-        of ``_tail(count)``."""
+        """The blocks of one pass; the first pass that ends keeps its rows of ``_tail(count)``."""
         start, lo, tail = _tail(self.count).start, 0, []
         for block in self.make_blocks():
             if not self._tail_rows and lo + len(block) > start:
@@ -133,20 +130,12 @@ class Trajectory:
         errors = _edge_errors_of_states(self.framework, configurations, self.r_star)
         return configurations, errors, _potential(errors)
 
-    def _tail_states(self) -> np.ndarray:
-        """The kept tail rows, after one pass if no pass has ended."""
+    def tail_edge_errors(self) -> np.ndarray:
+        """Mean exact edge errors over the trailing ``TAIL_FRACTION`` of samples."""
         if not self._tail_rows:
             for _ in self.blocks():
                 pass
-        return self._tail_rows[0]
-
-    def tail_state(self) -> np.ndarray:
-        """Mean state over the trailing ``TAIL_FRACTION`` of samples."""
-        return self._tail_states().mean(axis=0)
-
-    def tail_edge_errors(self) -> np.ndarray:
-        """Mean exact edge errors over the trailing ``TAIL_FRACTION`` of samples."""
-        return self.values(self._tail_states())[1].mean(axis=0)
+        return self.values(self._tail_rows[0])[1].mean(axis=0)
 
 
 def _tail(count: int) -> slice:
@@ -342,6 +331,23 @@ def _lti_blocks(sys: LinearizedSystem, start: np.ndarray, settings: SimSettings)
         yield rows
 
 
+def _tail_mean(sys: LinearizedSystem, settings: SimSettings, jumps: np.ndarray) -> np.ndarray:
+    """``V diag(mean of g**k) V^T jumps``, the mean over ``_tail(samples)``
+    of the iterates from each column of ``jumps``, from the tail rows of
+    ``g**k`` alone. A row of ``g**k`` that is not finite leaves the last one
+    not finite (``|g**k|`` does not fall where ``|g| > 1``; NaN or inf fills
+    every later row): only then are all rows scanned, for its step."""
+    growth, count = _growth(sys, settings), settings.samples
+    powers = _modal_powers(growth, _tail(count).start, count)
+    if not np.isfinite(powers[-1]).all():
+        height = _block_height(count, growth.size)
+        for lo in range(0, count, height):
+            _raise_if_non_finite(_modal_powers(growth, lo, min(lo + height, count)), settings, lo)
+    vec = sys.spectrum[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return vec @ (powers.mean(axis=0)[:, None] * (vec.T @ jumps))
+
+
 def simulate_lti(sys: LinearizedSystem, dp0, settings: SimSettings = SimSettings()) -> Trajectory:
     """The method's iterates on the linearized model from a deviation
     state, in closed form: row k is ``V diag(g**k) V^T dp0``.
@@ -405,11 +411,12 @@ def shape_recovery_experiment(scenario: Scenario, sys: LinearizedSystem) -> tupl
     """Run one impulse experiment on ``sys``, the scenario's linearized
     system, and decide recovery vs distortion.
 
-    Returns the outcome, the linearized trajectory, stepped once with its
-    tail kept (a row that is not finite raises there, before the outcome is
-    built), and the nonlinear flow from the reference plus the same jump,
-    not yet stepped: a pass over its blocks steps it, and
-    ``tail_edge_errors()`` gives its final edge errors, which
+    Returns the outcome, the linearized trajectory and the nonlinear flow
+    from the reference plus the same jump, neither stepped: the final state
+    is the closed-form tail mean (where a bound on the linearized rows is
+    not finite, one pass over them raises ``NumericalError`` at the first
+    that is not, before the outcome is built). A pass over the flow steps
+    it, and ``tail_edge_errors()`` gives its final edge errors, which
     ``dichotomy --nonlinear`` writes as ``nonlinear_final_edge_errors``.
     The outcome is the dict written under
     ``"outcome"`` in ``outcome.json``: the input (``w0``, ``magnitude``,
@@ -439,7 +446,14 @@ def shape_recovery_experiment(scenario: Scenario, sys: LinearizedSystem) -> tupl
 
     dp0 = sys.B @ scenario.w0 * scenario.impulse
     traj = simulate_lti(sys, dp0, scenario.sim)
-    tail = traj.tail_state()
+    tail = _tail_mean(sys, scenario.sim, dp0[:, None])[:, 0]
+    # bounds every row |V diag(g**k) V^T dp0|, as |g**k| peaks at the first or the last step
+    vec, last = sys.spectrum[1], scenario.sim.samples - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.abs(vec) @ (np.maximum(1.0, np.abs(_growth(sys, scenario.sim)) ** last) * np.abs(vec.T @ dp0))
+    if not np.isfinite(bound).all():
+        for _ in traj.blocks():
+            pass
 
     r_star = traj.r_star
     simulated_sq = _edge_errors_of_states(fw, (fw.positions + tail)[None, :], r_star)[0] + r_star
@@ -508,21 +522,7 @@ def sweep_impulse_angles(scenario: Scenario, sys: LinearizedSystem, n_angles: in
     alignments = r_i @ directions
     c_r = alignments * scenario.impulse
 
-    growth = _growth(sys, scenario.sim)
-    count = scenario.sim.samples
-    tail = _tail(count)
-    powers = _modal_powers(growth, tail.start, tail.stop)
-    # A row of g**k that is not finite leaves every state at that step
-    # non-finite. |g**k| does not fall as k grows where |g| > 1, and NaN or
-    # inf in g fills every row after the first, so a non-finite row leaves
-    # the last one non-finite: only then are the rows scanned, in blocks.
-    if not np.isfinite(powers[-1]).all():
-        height = _block_height(count, growth.size)
-        for lo in range(0, count, height):
-            _raise_if_non_finite(_modal_powers(growth, lo, min(lo + height, count)), scenario.sim, lo)
-    vec = sys.spectrum[1]
-    jumps = sys.B @ directions * scenario.impulse  # (nd, N)
-    tails = vec @ (powers.mean(axis=0)[:, None] * (vec.T @ jumps))  # (nd, N)
+    tails = _tail_mean(sys, scenario.sim, sys.B @ directions * scenario.impulse)  # (nd, N)
 
     r_star = rigidity_function(fw, fw.positions)
     finals = _edge_errors_of_states(fw, tails.T + fw.positions, r_star)

@@ -295,3 +295,10 @@ def whole_table(traj) -> WholeTable:
     states = np.concatenate(list(traj.blocks()))
     _, errors, potential = traj.values(states)
     return WholeTable(np.arange(traj.count) * traj.dt, states, errors, potential)
+
+
+def whole_table_tail(traj) -> np.ndarray:
+    """Mean of the whole table's state rows over the trailing
+    ``TAIL_FRACTION`` of samples: the oracle of the closed-form tail mean
+    that the impulse experiment reads."""
+    return whole_table(traj).states[rk.dynamics._tail(traj.count)].mean(axis=0)

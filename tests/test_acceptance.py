@@ -19,6 +19,7 @@ from conftest import (
     system_of,
     triangle,
     whole_table,
+    whole_table_tail,
 )
 from test_rigidity import fd_jacobian
 
@@ -133,7 +134,7 @@ def test_criterion_07_recovery_branch():
     elapsed = time.perf_counter() - start
     assert out["verdict"] == "recovery"
     assert np.abs(out["simulated_final_edge_errors"]).max() < 1e-6
-    tail = trajectory.tail_state().reshape(fw.n, 2)
+    tail = whole_table_tail(trajectory).reshape(fw.n, 2)
     assert np.abs(tail - tail[0]).max() < 1e-8  # pure translation
     assert elapsed < 5.0
     _ok(7, f"orthogonal impulse: zero final edge error, pure translation ({elapsed:.2f}s)")
@@ -165,7 +166,7 @@ def test_criterion_09_steady_state_projection(rigid_frameworks_2d):
         slowest = lam[lam > 1e-9 * lam.max()].min()
         settings = rk.SimSettings(dt=min(2.0 / lam.max(), 0.05), t_end=20.0 / slowest)
         traj = rk.simulate_lti(sys, sys.B @ w0, settings)
-        assert np.linalg.norm(traj.tail_state() - rk.steady_state(sys, w0)) <= 1e-6
+        assert np.linalg.norm(whole_table_tail(traj) - rk.steady_state(sys, w0)) <= 1e-6
     elapsed = time.perf_counter() - start
     _ok(9, f"simulated tails match the flex-space projection on 50 frameworks ({elapsed:.2f}s)")
 

@@ -999,10 +999,11 @@ def test_dichotomy_memory_grows_by_its_tail_rows_only(tmp_path):
     assert large - small <= 8 * 8 * (tail_rows(8000) - tail_rows(800)) + 256 * 2**10, (small, large)
 
 
-def test_dichotomy_nonlinear_makes_the_linearized_blocks_twice_and_steps_the_flow_once(tmp_path):
-    """One ``dichotomy --nonlinear`` call makes the linearized blocks twice,
-    for the scan that keeps their tail rows and for the CSV, and steps the
-    flow once, as it is written; the final means read the kept tails."""
+def test_dichotomy_nonlinear_makes_the_linearized_blocks_once_and_steps_the_flow_once(tmp_path):
+    """One ``dichotomy --nonlinear`` call makes the linearized blocks once,
+    for the CSV, and steps the flow once, as it is written: the linearized
+    final state is the closed-form tail mean, and the nonlinear final mean
+    reads the flow's kept tail."""
     calls = {"_lti_blocks": 0, "_integrate": 0}
 
     def counted(name):
@@ -1017,7 +1018,7 @@ def test_dichotomy_nonlinear_makes_the_linearized_blocks_twice_and_steps_the_flo
     square = DEMO_SCENARIOS / "square_diagonal.json"
     with counted("_lti_blocks"), counted("_integrate"):
         assert run(["dichotomy", square, "--nonlinear", "--out", tmp_path]) == EXIT_OK
-    assert calls == {"_lti_blocks": 2, "_integrate": 1}
+    assert calls == {"_lti_blocks": 1, "_integrate": 1}
 
 
 def test_library_flow_tail_is_bounded_and_matches_the_cli(tmp_path):

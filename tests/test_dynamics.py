@@ -25,6 +25,7 @@ from conftest import (
     system_of,
     triangle,
     whole_table,
+    whole_table_tail,
     write_scenario,
 )
 
@@ -177,9 +178,10 @@ def test_lti_blocks_match_whole_table_matmul_bit_for_bit(tmp_path, source):
 @example(log_dt=-0.5, steps=2000, method="euler")  # |g| > 1: non-finite from a middle step on
 @example(log_dt=0.0, steps=2, method="euler")  # a tail of one row, g**2: x * x is 1 ulp off pow there
 def test_sweep_tail_and_first_non_finite_step_match_whole_table(log_dt, steps, method):
-    """The sweep builds only the tail rows of ``g**k``: their mean has the
-    bits of the whole table's tail mean, and where the table has a row that
-    is not finite the sweep names the same first step."""
+    """The sweep and the impulse experiment build only the tail rows of
+    ``g**k``: their mean has the bits of the whole table's tail mean, and
+    where the table has a row that is not finite both name the same first
+    step."""
     dt = 10.0**log_dt
     sc = recovery_scenario(sim=rk.SimSettings(dt=dt, t_end=steps * dt, method=method))
     sys = system_of(sc)
@@ -190,16 +192,25 @@ def test_sweep_tail_and_first_non_finite_step_match_whole_table(log_dt, steps, m
     bad = np.flatnonzero(~np.isfinite(whole).all(axis=1))
     if bad.size:
         event("non-finite")
-        with pytest.raises(rk.NumericalError) as info:
-            rk.sweep_impulse_angles(sc, sys, 4)
-        assert str(info.value) == f"non-finite state at step {bad[0]} (t={bad[0] * sc.sim.dt:.6g})"
+        message = f"non-finite state at step {bad[0]} (t={bad[0] * sc.sim.dt:.6g})"
+        for run in (lambda: rk.sweep_impulse_angles(sc, sys, 4), lambda: rk.shape_recovery_experiment(sc, sys)):
+            with pytest.raises(rk.NumericalError) as info:
+                run()
+            assert str(info.value) == message
         return
     tail = dynamics._tail(steps + 1)
     k = max(1, int(round(dynamics.TAIL_FRACTION * (steps + 1))))
     got = dynamics._modal_powers(growth, tail.start, tail.stop).mean(axis=0)
     assert same_bits(got, whole[-k:].mean(axis=0))
+    # the experiment's final state is the same closed form, from its one jump
+    dp0, vec = sys.B @ sc.w0 * sc.impulse, sys.spectrum[1]
+    final = (vec @ (whole[-k:].mean(axis=0)[:, None] * (vec.T @ dp0[:, None])))[:, 0]
+    outcome = rk.shape_recovery_experiment(sc, sys)[0]
+    assert same_bits(outcome["linearized_final_edge_errors"], sys.rigidity.entries @ final)
+    states = np.concatenate(list(rk.simulate_lti(sys, dp0, sc.sim).blocks()))
+    assert np.allclose(final, states[tail].mean(axis=0), rtol=1e-9, atol=1e-12 * np.abs(states).max())
     # the rest of the sweep as it was, on the whole table's tail mean
-    fw, vec = sc.framework, sys.spectrum[1]
+    fw = sc.framework
     angles = 2.0 * np.pi * np.arange(4) / 4
     jumps = sys.B @ np.vstack([np.cos(angles), np.sin(angles)]) * sc.impulse
     tails = vec @ (whole[-k:].mean(axis=0)[:, None] * (vec.T @ jumps))
@@ -528,7 +539,7 @@ def test_lti_tail_converges_to_flex_projection():
     dp0 = rng.normal(size=8)
     traj = rk.simulate_lti(sys, dp0, spectral_settings(sys))
     flex = rk.flex_space(rk.rigidity_matrix(fw))
-    assert np.linalg.norm(traj.tail_state() - rk.project(flex, dp0)) < 1e-6
+    assert np.linalg.norm(whole_table_tail(traj) - rk.project(flex, dp0)) < 1e-6
 
 
 def test_non_finite_state_reports_step():
@@ -540,6 +551,22 @@ def test_non_finite_state_reports_step():
     sc = recovery_scenario(sim=rk.SimSettings(dt=10.0, t_end=2000.0))
     with pytest.raises(rk.NumericalError, match="non-finite state at step 40 "):
         rk.sweep_impulse_angles(sc, system_of(sc), 8)
+    # Every g**k finite, but rows past the largest float on the square at
+    # dt = 2.9 / max|lam|: at impulse 1e300 the tail mean overflows too, at
+    # 1e279 only the last rows do and the tail mean stays finite. The
+    # experiment names the first such row, as a pass over the table does.
+    square = rk.load_scenario(DEMO_SCENARIOS / "square_diagonal.json")
+    dt = 2.9 / np.abs(system_of(square).spectrum[0]).max()
+    for impulse, tail_finite in ((1e300, False), (1e279, True)):
+        sc = replace(square, impulse=impulse, sim=rk.SimSettings(dt=dt, t_end=400 * dt))
+        sys = system_of(sc)
+        dp0 = sys.B @ sc.w0 * sc.impulse
+        assert np.isfinite(dynamics._tail_mean(sys, sc.sim, dp0[:, None])).all() == tail_finite
+        with pytest.raises(rk.NumericalError, match="non-finite state at step") as table:
+            whole_table(rk.simulate_lti(sys, dp0, sc.sim))
+        with pytest.raises(rk.NumericalError) as experiment:
+            rk.shape_recovery_experiment(sc, sys)
+        assert str(experiment.value) == str(table.value)
 
 
 def stepped_lti(a, y0, settings):
@@ -673,7 +700,7 @@ def test_steady_state_matches_simulation_tail():
         sys = rk.linearize(fw, node, 0)
         w0 = rng.normal(size=2)
         traj = rk.simulate_lti(sys, sys.B @ w0, spectral_settings(sys))
-        assert np.linalg.norm(traj.tail_state() - rk.steady_state(sys, w0)) < 1e-6
+        assert np.linalg.norm(whole_table_tail(traj) - rk.steady_state(sys, w0)) < 1e-6
 
 
 def test_rbm_coefficients_examples():

@@ -18,6 +18,12 @@ is better, in the direction ``BENCHMARK.json`` gives), ``median_drop`` (how
 much better the change's median is) and ``parent_iqr``. A claimed metric
 holds when the change wins at least 9 pairs in 10 and its median drop is
 larger than the parent's interquartile range; the verdict is printed.
+A metric with a ``bound`` in ``BENCHMARK.json`` also gets ``worsening``,
+how much worse the change's median is relative to the parent's (the
+relative form in which ``benchmark/README.md`` states spreads; negative
+when it is better), and ``bound``. A workload's "no regression" holds when
+no such metric's worsening exceeds its bound; one line per workload says
+whether it holds.
 
 Before the pairs, the file records the machine's floor: the median wall
 time of ``FLOOR_SPAWNS`` sequential spawns of each of ``python -c pass``,
@@ -96,7 +102,14 @@ def quartiles(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def worsening(drop: float, parent_median: float) -> float:
+    """How much worse the change's median is, relative to the parent's."""
+    if parent_median:
+        return -drop / abs(parent_median)
+    return 0.0 if drop >= 0 else math.inf
+
+
+def summarize(runs: list[dict], spec: dict[str, dict]) -> dict:
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         sides = {side: {r["seed"]: r["result"] for r in runs if r["workload"] == workload and r["side"] == side}
@@ -108,16 +121,20 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         metrics = {}
         for name, first in results[0]["metrics"].items():
             values = {side: [sides[side][seed]["metrics"][name]["value"] for seed in paired] for side in sides}
-            sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+            sign = -1.0 if spec.get(name, {}).get("better", "lower") == "lower" else 1.0
             parent, change = quartiles(values["parent"]), quartiles(values["change"])
+            drop = sign * (change["median"] - parent["median"])
             metrics[name] = {
                 "unit": first["unit"],
                 "parent": parent,
                 "change": change,
                 "change_wins": sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])),
-                "median_drop": sign * (change["median"] - parent["median"]),
+                "median_drop": drop,
                 "parent_iqr": parent["q3"] - parent["q1"],
             }
+            if "bound" in spec.get(name, {}):
+                metrics[name]["worsening"] = worsening(drop, parent["median"])
+                metrics[name]["bound"] = spec[name]["bound"]
         summary[workload] = {
             "pairs": len(paired),
             "correct": all(r["correct"] for r in results),
@@ -126,6 +143,11 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "metrics": metrics,
         }
     return summary
+
+
+def no_regression(entry: dict) -> bool:
+    """No bounded metric's median is worse than the parent's beyond its bound."""
+    return all(m["worsening"] <= m["bound"] for m in entry["metrics"].values() if "bound" in m)
 
 
 def holds(metric: dict, pairs: int) -> bool:
@@ -174,7 +196,7 @@ def main() -> int:
         if not tree.exists():
             extract(revs[side], tree)
     spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metric_spec = {m["name"]: m for m in spec["end_to_end"]}
 
     report = {
         "description": args.description,
@@ -202,14 +224,18 @@ def main() -> int:
                                        "trace": args.trace, "result": result})
                 print(f"seed {seed} {workload} {side}: peak {result['metrics']['peak_rss_mb']['value']:.2f} MB, "
                       f"correct {result['correct']}, failed {result['failed']}", flush=True)
-            report["summary"] = summarize(report["runs"], better)
+            report["summary"] = summarize(report["runs"], metric_spec)
             args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
 
     for workload, entry in report["summary"].items():
         print(f"\n{workload}: {entry['pairs']} pairs, correct {entry['correct']}, failed {entry['failed']}")
         for name, m in entry["metrics"].items():
+            bounded = f"  worse {m['worsening']:+.3f} (bound {m['bound']:g})" if "bound" in m else ""
             print(f"  {name:12} parent {m['parent']['median']:9.4f}  change {m['change']['median']:9.4f}  "
-                  f"wins {m['change_wins']:2}  drop {m['median_drop']:+.4f}  parent IQR {m['parent_iqr']:.4f}")
+                  f"wins {m['change_wins']:2}  drop {m['median_drop']:+.4f}  parent IQR {m['parent_iqr']:.4f}"
+                  f"{bounded}")
+        print(f"  no regression: {'holds' if no_regression(entry) else 'fails'} "
+              f"(no median worse than the parent's by more than its bound)")
     verdicts = []
     for claim in args.claim:
         workload, name = claim.split(":")
